@@ -24,6 +24,7 @@ from .integrals import (QuadratureNonConvergence, QuadratureSettings,
 from .model import (ETERNAL, GAUSSIAN, ConfigError, DetectorPairConfig,
                     FieldSpec, InitialState, SwitchingSpec, UnitSystem,
                     validate_config)
+from .wightman import EPSILON_FLOOR
 
 CSV_HEADER = ("mode,delta_e,mass,c,distance,coupling_a,coupling_b,alpha,"
               "gamma,sigma,initial_negativity,initial_concurrence,"
@@ -105,6 +106,8 @@ def _parse_sweep(token):
         raise CliError(
             f"sweep parameter {spec.name!r} not in {', '.join(SWEEPABLE)}"
         )
+    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
+        raise CliError(f"sweep {token!r}: start and stop must be finite")
     if spec.steps < 1:
         raise CliError(f"sweep {token!r}: steps must be >= 1")
     if spec.start > spec.stop:
@@ -227,6 +230,12 @@ def parse_args(argv) -> RunPlan:
     if plan.strict is None:
         plan.strict = False
 
+    for flag, value in (("--epsilon", plan.epsilon), ("--p-max", plan.p_max),
+                        ("--quad-tol", plan.quad_tol)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise CliError(f"{flag} must be finite and positive, got {value}")
+    if plan.epsilon < EPSILON_FLOOR:
+        raise CliError(f"--epsilon must be >= {EPSILON_FLOOR}, got {plan.epsilon}")
     if not (0.0 <= plan.alpha <= 1.0):
         raise CliError(f"alpha must lie in [0, 1], got {plan.alpha}")
     if plan.mode == GAUSSIAN and plan.sigma is None and not any(

@@ -75,8 +75,8 @@ def _diagnose(m, correction_scale):
     return Diagnostics(herm, tr, min_eig, correction_scale)
 
 
-def initial_density(state: InitialState) -> DensityMatrix4:
-    """Rank-one projector of the entangled start state.
+def _projector(state: InitialState):
+    """alpha|gg> + gamma|ee> as a 4x4 projector.
 
     Corners alpha^2, alpha gamma, gamma alpha, gamma^2 with the ee weight
     gamma^2 in the a1 slot (top-left by the ordering note above).
@@ -87,6 +87,12 @@ def initial_density(state: InitialState) -> DensityMatrix4:
     m[0, 3] = g * a
     m[3, 0] = a * g
     m[3, 3] = a * a
+    return m
+
+
+def initial_density(state: InitialState) -> DensityMatrix4:
+    """Rank-one projector of the entangled start state."""
+    m = _projector(state)
     return DensityMatrix4(m, 0, _diagnose(m, 0.0))
 
 
@@ -163,8 +169,7 @@ def evolved_density(state: InitialState, pair: DetectorPairConfig,
     m[3, 0] = d1
     m[3, 3] = d2
 
-    base = initial_density(state).matrix
-    indicator = float(np.max(np.abs(m - base)))
+    indicator = float(np.max(np.abs(m - _projector(state))))
     return DensityMatrix4(m, power, _diagnose(m, indicator))
 
 

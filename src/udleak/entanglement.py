@@ -1,7 +1,7 @@
 """Negativity, concurrence, and their leakage rates.
 
 Every closed form is paired with a fully numeric route through the 4x4
-kernel (partial transpose + Jacobi for negativity, the spin-flip
+kernel (partial transpose + LAPACK eigensolver for negativity, the spin-flip
 construction for concurrence); reports carry the worst closed-vs-numeric
 discrepancy so disagreement is a loud diagnostic, not a silent drift.
 

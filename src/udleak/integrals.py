@@ -19,7 +19,7 @@ oracle for everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
@@ -67,35 +67,40 @@ def rate(value: RegulatedValue):
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """All eleven correlation integrals, per detector where applicable."""
+    """The distinct correlation integrals of one scenario.
 
-    p_a: RegulatedValue
-    p_b: RegulatedValue
-    p_dd_a: RegulatedValue          # spontaneous-emission entries P''
-    p_dd_b: RegulatedValue
-    p_bar_a: RegulatedValue
-    p_bar_b: RegulatedValue
-    p_bar_prime_a: RegulatedValue
-    p_bar_prime_b: RegulatedValue
-    m_re_a: RegulatedValue          # real part of the vacuum-fluctuation entry
-    m_re_b: RegulatedValue
+    Both detectors share one gap and one window, so each per-detector
+    entry is stored once; entries() expands them to the sixteen named
+    values the density matrix and the output formats read.
+    """
+
+    p: RegulatedValue
+    p_dd: RegulatedValue            # spontaneous-emission entry P''
+    p_bar: RegulatedValue
+    m_re: RegulatedValue            # real part of the vacuum-fluctuation entry
     p_ab_star: RegulatedValue
     p_ab_prime: RegulatedValue
-    p_bar_ab_prime: RegulatedValue
     x_ab: RegulatedValue
     y_ab: RegulatedValue
-    xi_ab: RegulatedValue
 
     def entries(self):
+        """All sixteen named entries, with the model's identities applied.
+
+        A = B (one shared gap), Pbar' = conj(Pbar), and for a real even
+        window (eternal switching included) Pbar'_AB = P'_AB and
+        xi_AB = Y_AB, since xi(dE) = Y(-dE) and Y is even in dE.
+        """
+        pb = self.p_bar
+        p_bar_prime = RegulatedValue(pb.coeff.conjugate(), pb.delta0_power, pb.err)
         return {
-            "P_A": self.p_a, "P_B": self.p_b,
-            "P''_A": self.p_dd_a, "P''_B": self.p_dd_b,
-            "Pbar_A": self.p_bar_a, "Pbar_B": self.p_bar_b,
-            "Pbar'_A": self.p_bar_prime_a, "Pbar'_B": self.p_bar_prime_b,
-            "ReM_A": self.m_re_a, "ReM_B": self.m_re_b,
+            "P_A": self.p, "P_B": self.p,
+            "P''_A": self.p_dd, "P''_B": self.p_dd,
+            "Pbar_A": pb, "Pbar_B": pb,
+            "Pbar'_A": p_bar_prime, "Pbar'_B": p_bar_prime,
+            "ReM_A": self.m_re, "ReM_B": self.m_re,
             "P*_AB": self.p_ab_star, "P'_AB": self.p_ab_prime,
-            "Pbar'_AB": self.p_bar_ab_prime, "X_AB": self.x_ab,
-            "Y_AB": self.y_ab, "xi_AB": self.xi_ab,
+            "Pbar'_AB": self.p_ab_prime, "X_AB": self.x_ab,
+            "Y_AB": self.y_ab, "xi_AB": self.y_ab,
         }
 
     @property
@@ -163,16 +168,9 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
 
     zero = RegulatedValue(0.0 + 0.0j, 0)
     dist = lambda v: RegulatedValue(complex(v), 1 if root > 0.0 else 0)
-    return IntegralSet(
-        p_a=zero, p_b=zero,
-        p_dd_a=dist(p_dd), p_dd_b=dist(p_dd),
-        p_bar_a=zero, p_bar_b=zero,
-        p_bar_prime_a=zero, p_bar_prime_b=zero,
-        m_re_a=dist(m_re), m_re_b=dist(m_re),
-        p_ab_star=zero, p_ab_prime=zero, p_bar_ab_prime=zero,
-        x_ab=dist(x),
-        y_ab=zero, xi_ab=zero,
-    )
+    return IntegralSet(p=zero, p_dd=dist(p_dd), p_bar=zero, m_re=dist(m_re),
+                       p_ab_star=zero, p_ab_prime=zero, x_ab=dist(x),
+                       y_ab=zero)
 
 
 def _radial_quadrature(scenario, weight, p_max, tol, with_sinc, points=None):
@@ -294,26 +292,12 @@ def gaussian_integral_set(scenario: ValidatedScenario,
 
     p = results["P"]
     p_dd = results["P''"]
-    p_bar = results["Pbar"]
     m_re = RegulatedValue(0.5 * (p.coeff + p_dd.coeff), 0,
                           0.5 * (p.err + p_dd.err))
-    y = _feynman_cross_term(scenario, settings, p_max)
-
-    return IntegralSet(
-        p_a=p, p_b=p,
-        p_dd_a=p_dd, p_dd_b=p_dd,
-        p_bar_a=p_bar, p_bar_b=p_bar,
-        # conjugate pair; both real here, computed once
-        p_bar_prime_a=replace(p_bar, coeff=np.conj(p_bar.coeff)),
-        p_bar_prime_b=replace(p_bar, coeff=np.conj(p_bar.coeff)),
-        m_re_a=m_re, m_re_b=m_re,
-        p_ab_star=results["P*_AB"],
-        p_ab_prime=results["P'_AB"],
-        p_bar_ab_prime=results["P'_AB"],   # equal for real even windows
-        x_ab=results["X_AB"],
-        y_ab=y,
-        xi_ab=y,                           # xi(dE) = Y(-dE), and Y is even in dE
-    )
+    return IntegralSet(p=p, p_dd=p_dd, p_bar=results["Pbar"], m_re=m_re,
+                       p_ab_star=results["P*_AB"], p_ab_prime=results["P'_AB"],
+                       x_ab=results["X_AB"],
+                       y_ab=_feynman_cross_term(scenario, settings, p_max))
 
 
 # ---------------------------------------------------------------------------

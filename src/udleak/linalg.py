@@ -1,10 +1,10 @@
-"""Self-contained 4x4 complex matrix kernel.
+"""4x4 complex matrix kernel.
 
-Everything downstream works on 4x4 numpy arrays (row-major, complex).  The
-eigensolver is a cyclic Jacobi iteration specialised to Hermitian 4x4
-matrices: at this size determinism and simplicity beat any asymptotic
-concern, and the same rotations give the unitary needed for matrix square
-roots in the spin-flip (concurrence) construction.
+Everything downstream works on 4x4 numpy arrays (row-major, complex).
+Eigen-decompositions go through LAPACK (numpy.linalg.eigh), which shares no
+code with the 2x2-block closed forms it is checked against; the same
+eigenvectors give the matrix square roots needed in the spin-flip
+(concurrence) construction.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ class NotHermitian(ValueError):
 class NotNormalized(ValueError):
     pass
 
-
-class NoConvergence(RuntimeError):
-    pass
-
-
-MAX_SWEEPS = 50
-OFFDIAG_TARGET = 1e-14
 
 # sigma_y (x) sigma_y as an anti-diagonal sign pattern
 SPIN_FLIP = np.array(
@@ -51,58 +44,18 @@ def hermiticity_residual(m):
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eigensystem(m, tol=1e-10):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian 4x4 matrix.
 
-    Cyclic Jacobi: sweep all index pairs, annihilating each off-diagonal
-    entry with a complex plane rotation, until the off-diagonal Frobenius
-    norm drops below OFFDIAG_TARGET times the matrix norm.  Columns of the
+    Rejects matrices whose anti-Hermitian part exceeds tol, symmetrizes
+    away the allowed residual and diagonalizes with LAPACK.  Columns of the
     returned matrix are the eigenvectors.
     """
     m = as_matrix4(m)
     res = hermiticity_residual(m)
     if res > tol:
         raise NotHermitian(f"max |m - m^dagger| = {res:.3e} exceeds tol {tol:.3e}")
-
-    a = 0.5 * (m + m.conj().T)  # symmetrize away the allowed residual
-    v = np.eye(4, dtype=complex)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(4), v
-
-    for _ in range(MAX_SWEEPS):
-        if _offdiag_norm(a) <= OFFDIAG_TARGET * scale:
-            break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), (a[q, q] - a[p, p]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                j = np.eye(4, dtype=complex)
-                j[p, p] = c
-                j[p, q] = phase * s
-                j[q, p] = -np.conj(phase) * s
-                j[q, q] = c
-                a = j.conj().T @ a @ j
-                v = v @ j
-    else:
-        raise NoConvergence(
-            f"Jacobi sweep cap {MAX_SWEEPS} reached, off-diagonal norm "
-            f"{_offdiag_norm(a):.3e}"
-        )
-
-    vals = np.real(np.diag(a))
-    order = np.argsort(vals)
-    return vals[order], v[:, order]
+    return np.linalg.eigh(0.5 * (m + m.conj().T))
 
 
 def hermitian_eigenvalues(m, tol=1e-10):
@@ -145,7 +98,7 @@ def wootters_lambdas(rho, tol=1e-10):
 
     Computed from the Hermitian product sqrt(rho) rho_tilde sqrt(rho)
     rather than the non-Hermitian rho rho_tilde: numerically stable and it
-    reuses the Jacobi solver.  Tiny negative eigenvalues of rho (second
+    reuses the Hermitian eigensolver.  Tiny negative eigenvalues of rho (second
     order truncation artifacts) are clamped to zero before square roots,
     and eigenvalues of the product below 1e-13 of its trace are deflated
     to exact zero: the square root would otherwise amplify solver noise

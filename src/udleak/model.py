@@ -97,7 +97,19 @@ def validate_config(pair, field_spec, state, switching, units=None):
     DeltaE = m c^2 counts as closed.
     """
     units = units or UnitSystem()
-    errors = []
+    numbers = {
+        "units.c": units.c, "pair.delta_e": pair.delta_e,
+        "pair.coupling_a": pair.coupling_a, "pair.coupling_b": pair.coupling_b,
+        "pair.distance": pair.distance, "field.mass": field_spec.mass,
+        "state.alpha": state.alpha, "state.gamma": state.gamma,
+    }
+    if switching.sigma is not None:
+        numbers["switching.sigma"] = switching.sigma
+    # NaN fails every comparison below and inf passes them; stop here first
+    errors = [f"{name} must be finite, got {value}"
+              for name, value in numbers.items() if not math.isfinite(value)]
+    if errors:
+        raise ConfigError(errors)
 
     if not units.c > 0:
         errors.append(f"units.c must be positive, got {units.c}")

@@ -198,3 +198,32 @@ def test_warning_without_strict_still_succeeds(capsys):
                  "--coupling-a", "12", "--coupling-b", "12"])
     assert code == 0
     assert "warning" in capsys.readouterr().err
+
+
+GAUSSIAN_BASE = ["--mode", "gaussian", "--sigma", "1", "--delta-e", "1",
+                 "--alpha", "0.70710678118654752", "--coupling-a", "0.1",
+                 "--coupling-b", "0.1", "--distance", "0.5"]
+
+BAD_VALUES = [
+    (["--mass", "nan"], "field.mass"),
+    (["--distance", "inf"], "pair.distance"),
+    (["--coupling-a", "nan"], "pair.coupling_a"),
+    (["--sweep", "mass=0:inf:3"], "mass=0:inf:3"),
+    (["--epsilon", "1e-9"], "--epsilon"),
+    (["--epsilon", "0"], "--epsilon"),
+    (["--epsilon", "nan"], "--epsilon"),
+    (["--p-max", "inf"], "--p-max"),
+    (["--p-max", "-2"], "--p-max"),
+    (["--quad-tol", "-1"], "--quad-tol"),
+]
+
+
+@pytest.mark.parametrize("extra, named", BAD_VALUES,
+                         ids=[" ".join(extra) for extra, _ in BAD_VALUES])
+def test_bad_value_exits_1_with_one_line(capsys, extra, named):
+    assert main(GAUSSIAN_BASE + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1

@@ -14,15 +14,20 @@ mpmath = pytest.importorskip("mpmath")
 
 def test_bessel_k1_against_mpmath():
     rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(60):
-        r = rng.uniform(0.05, 30.0)
+
+    def draw(r_lo, r_hi):
+        r = rng.uniform(r_lo, r_hi)
         phi = rng.uniform(-0.45 * math.pi, 0.45 * math.pi)
-        z = r * complex(math.cos(phi), math.sin(phi))
+        return r * complex(math.cos(phi), math.sin(phi))
+
+    # the second band brackets |z| ~ 7.8, where a series/asymptotic switch
+    # loses accuracy to cancellation
+    worst = 0.0
+    for z in [draw(0.05, 30.0) for _ in range(60)] + [draw(7.0, 8.6) for _ in range(30)]:
         ours = bessel_k1(z)
         ref = complex(mpmath.besselk(1, mpmath.mpc(z.real, z.imag)))
         worst = max(worst, abs(ours - ref) / abs(ref))
-    assert worst < 5e-8
+    assert worst < 1e-12
 
 
 def test_bessel_k1_small_argument_pole():
