@@ -2,19 +2,22 @@
 
 Output is deterministic: fixed float formatting (17 significant digits),
 grid order follows sweep declaration order, no timestamps.  Exit codes:
-0 success, 1 bad arguments (offending token named), 2 quadrature
-non-convergence or a --validate tolerance breach, 3 a perturbative-regime
-error under --strict.
+0 success, 1 bad arguments (offending token named) or a computation that
+overflowed, 2 quadrature non-convergence or a --validate tolerance breach,
+3 a perturbative-regime error under --strict.  An --output file is written
+whole, and only on exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .integrals import (QuadratureNonConvergence, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
 from .model import (ETERNAL, GAUSSIAN, ConfigError, DetectorPairConfig,
                     FieldSpec, InitialState, SwitchingSpec, UnitSystem,
-                    validate_config)
+                    stack_points, unstack, validate_config)
 from .wightman import EPSILON_FLOOR
 
 CSV_HEADER = ("mode,delta_e,mass,c,distance,coupling_a,coupling_b,alpha,"
@@ -120,8 +123,6 @@ _BOOL_FALSE = ("0", "false", "no", "off")
 
 _CONFIG_FLOAT = ("delta_e", "mass", "distance", "coupling_a", "coupling_b",
                  "alpha", "sigma", "c_light", "epsilon", "p_max", "quad_tol")
-_CONFIG_OTHER = ("mode", "gamma_sign", "shield_b", "validate", "strict",
-                 "format")
 
 
 def _read_config(path):
@@ -189,46 +190,20 @@ def parse_args(argv) -> RunPlan:
     add("--config")
     ns = parser.parse_args(argv)
 
-    plan = RunPlan()
-    if ns.config:
-        cfg = _read_config(ns.config)
-        fmt = cfg.pop("format", None)
-        if fmt is not None:
-            if fmt not in ("csv", "json"):
-                raise CliError(f"config format must be csv or json, got {fmt!r}")
-            plan.fmt = fmt
-        sign = cfg.pop("gamma_sign", None)
-        if sign is not None:
-            if sign not in ("+", "-"):
-                raise CliError(f"config gamma_sign must be + or -, got {sign!r}")
-            plan.gamma_sign = +1 if sign == "+" else -1
-        mode = cfg.pop("mode", None)
-        if mode is not None:
-            if mode not in (ETERNAL, GAUSSIAN):
-                raise CliError(f"config mode must be eternal or gaussian, got {mode!r}")
-            plan.mode = mode
-        for key, value in cfg.items():
-            setattr(plan, key, value)
-
-    for name in ("mode", "delta_e", "mass", "distance", "coupling_a",
-                 "coupling_b", "alpha", "sigma", "c_light", "epsilon",
-                 "p_max", "quad_tol", "shield_b", "validate", "strict",
-                 "output"):
-        value = getattr(ns, name)
-        if value is not None:
-            setattr(plan, name, value)
-    if ns.fmt is not None:
-        plan.fmt = ns.fmt
-    if ns.gamma_sign is not None:
-        plan.gamma_sign = +1 if ns.gamma_sign == "+" else -1
-    if ns.sweep:
-        plan.sweeps = plan.sweeps + [_parse_sweep(tok) for tok in ns.sweep]
-    if plan.shield_b is None:
-        plan.shield_b = False
-    if plan.validate is None:
-        plan.validate = False
-    if plan.strict is None:
-        plan.strict = False
+    # config values first, then every flag given on the command line
+    values = _read_config(ns.config) if ns.config else {}
+    for key, choices in (("format", ("csv", "json")), ("gamma_sign", ("+", "-")),
+                         ("mode", (ETERNAL, GAUSSIAN))):
+        if key in values and values[key] not in choices:
+            raise CliError(f"config {key} must be {' or '.join(choices)}, "
+                           f"got {values[key]!r}")
+    if "format" in values:
+        values["fmt"] = values.pop("format")
+    sweeps = values.pop("sweeps", []) + [_parse_sweep(tok) for tok in ns.sweep]
+    values.update((key, value) for key, value in vars(ns).items()
+                  if value is not None and key not in ("config", "sweep"))
+    plan = RunPlan(**values, sweeps=sweeps)
+    plan.gamma_sign = -1 if plan.gamma_sign == "-" else +1
 
     for flag, value in (("--epsilon", plan.epsilon), ("--p-max", plan.p_max),
                         ("--quad-tol", plan.quad_tol)):
@@ -244,17 +219,24 @@ def parse_args(argv) -> RunPlan:
     return plan
 
 
-def _scenario_for(plan: RunPlan, point: dict):
-    params = dict(
+def _grid(plan: RunPlan):
+    """(sweep point, every scenario value) dict pairs in grid order."""
+    names = [spec.name for spec in plan.sweeps]
+    base = dict(
         delta_e=plan.delta_e, mass=plan.mass, distance=plan.distance,
         coupling_a=plan.coupling_a, coupling_b=plan.coupling_b,
         alpha=plan.alpha, sigma=plan.sigma,
     )
-    params.update(point)
-    if plan.shield_b:
-        params["coupling_b"] = 0.0
-    gamma = plan.gamma_sign * math.sqrt(max(1.0 - params["alpha"] ** 2, 0.0))
+    for combo in itertools.product(*(spec.values() for spec in plan.sweeps)):
+        point = dict(zip(names, (float(v) for v in combo)))
+        params = {**base, **point}
+        if plan.shield_b:
+            params["coupling_b"] = 0.0
+        yield point, params
 
+
+def _scenario_for(plan: RunPlan, params: dict):
+    gamma = plan.gamma_sign * math.sqrt(max(1.0 - params["alpha"] ** 2, 0.0))
     pair = DetectorPairConfig(
         delta_e=params["delta_e"],
         coupling_a=params["coupling_a"],
@@ -263,48 +245,52 @@ def _scenario_for(plan: RunPlan, point: dict):
     )
     switching = (SwitchingSpec(kind=ETERNAL) if plan.mode == ETERNAL
                  else SwitchingSpec(kind=GAUSSIAN, sigma=params["sigma"]))
-    scenario = validate_config(
+    return validate_config(
         pair,
         FieldSpec(mass=params["mass"]),
         InitialState(alpha=params["alpha"], gamma=gamma),
         switching,
         UnitSystem(c=plan.c_light),
     )
-    return scenario, params, gamma
+
+
+def _at(values: dict):
+    """' at name=value, ...' naming a grid point; '' when there is none."""
+    named = ", ".join(f"{k}={v!r}" for k, v in values.items() if v is not None)
+    return f" at {named}" if named else ""
 
 
 def _fmt(x):
     if x is None:
         return ""
+    if isinstance(x, (str, bool)):
+        return str(x).lower()   # the mode; true/false
     return "%.17g" % x
 
 
-def _csv_row(plan, params, gamma, report):
-    eternal = plan.mode == ETERNAL
-    cells = [
-        plan.mode,
-        _fmt(params["delta_e"]),
-        _fmt(params["mass"]),
-        _fmt(plan.c_light),
-        _fmt(params["distance"]),
-        _fmt(params["coupling_a"]),
-        _fmt(params["coupling_b"]),
-        _fmt(params["alpha"]),
-        _fmt(gamma),
-        "" if eternal else _fmt(params["sigma"]),
-        _fmt(report.initial_negativity),
-        _fmt(report.initial_concurrence),
-        _fmt(report.negativity_rate),
-        _fmt(report.concurrence_rate),
-        _fmt(report.negativity),
-        _fmt(report.concurrence),
-        "true" if report.perturbative_ok else "false",
-        _fmt(report.max_quad_error),
-    ]
-    return ",".join(cells)
+def _params_record(plan, sc):
+    """The scenario's values, keyed like the CSV's first columns."""
+    return {
+        "mode": plan.mode,
+        "delta_e": sc.pair.delta_e,
+        "mass": sc.field.mass,
+        "c": sc.units.c,
+        "distance": sc.pair.distance,
+        "coupling_a": sc.pair.coupling_a,
+        "coupling_b": sc.pair.coupling_b,
+        "alpha": sc.state.alpha,
+        "gamma": sc.state.gamma,
+        "sigma": sc.switching.sigma,
+    }
 
 
-def _json_record(plan, params, gamma, report, ints):
+def _csv_row(params, report):
+    report_columns = CSV_HEADER.split(",")[len(params):]
+    return ",".join([_fmt(v) for v in params.values()]
+                    + [_fmt(getattr(report, name)) for name in report_columns])
+
+
+def _json_record(params, report, ints):
     integrals = {
         name: {
             "re": v.coeff.real,
@@ -315,102 +301,101 @@ def _json_record(plan, params, gamma, report, ints):
         for name, v in ints.entries().items()
     }
     return {
-        "params": {
-            "mode": plan.mode,
-            "delta_e": params["delta_e"],
-            "mass": params["mass"],
-            "c": plan.c_light,
-            "distance": params["distance"],
-            "coupling_a": params["coupling_a"],
-            "coupling_b": params["coupling_b"],
-            "alpha": params["alpha"],
-            "gamma": gamma,
-            "sigma": None if plan.mode == ETERNAL else params["sigma"],
-        },
-        "report": {
-            "initial_negativity": report.initial_negativity,
-            "initial_concurrence": report.initial_concurrence,
-            "negativity_rate": report.negativity_rate,
-            "concurrence_rate": report.concurrence_rate,
-            "negativity": report.negativity,
-            "concurrence": report.concurrence,
-            "pt_eigenvalues_closed": list(report.pt_eigenvalues_closed),
-            "pt_eigenvalues_numeric": list(report.pt_eigenvalues_numeric),
-            "wootters_closed": list(report.wootters_closed),
-            "wootters_numeric": list(report.wootters_numeric),
-            "negative_pt_index": report.negative_pt_index,
-            "shielded": report.shielded,
-            "agreement": report.agreement,
-            "perturbative_indicator": report.perturbative_indicator,
-            "perturbative_ok": report.perturbative_ok,
-            "max_quad_error": report.max_quad_error,
-        },
+        "params": params,
+        "report": {f.name: getattr(report, f.name) for f in fields(report)[1:]},
         "integrals": integrals,
     }
 
 
 def run_plan(plan: RunPlan, out=None):
-    """Execute the grid and emit records; returns the exit code."""
+    """Execute the grid and emit records; returns the exit code.  Points are
+    validated and integrated one by one, then analysed as one stacked batch;
+    messages and records follow in grid order."""
     out = out if out is not None else sys.stdout
-    grids = [spec.values() for spec in plan.sweeps]
-    names = [spec.name for spec in plan.sweeps]
-    points = itertools.product(*grids) if grids else [()]
-
     settings = QuadratureSettings(
         tol=plan.quad_tol,
         p_max=plan.p_max,
         eps_list=(2.0 * plan.epsilon, plan.epsilon),
     )
 
-    rows = []
-    records = []
-    exit_code = 0
-    for combo in points:
-        point = dict(zip(names, (float(v) for v in combo)))
-        scenario, params, gamma = _scenario_for(plan, point)
+    scenarios, sets = [], []
+    for point, params in _grid(plan):
         try:
-            if plan.mode == ETERNAL:
-                ints = eternal_integral_set(scenario)
-            else:
-                ints = gaussian_integral_set(scenario, settings)
+            scenario = _scenario_for(plan, params)
+            ints = (eternal_integral_set(scenario) if plan.mode == ETERNAL
+                    else gaussian_integral_set(scenario, settings))
         except QuadratureNonConvergence as exc:
-            print(f"udleak: quadrature non-convergence: {exc}", file=sys.stderr)
+            print(f"udleak: quadrature non-convergence: {exc}{_at(point)}",
+                  file=sys.stderr)
             return 2
-        report = analyze(scenario, settings, ints=ints)
+        except OverflowError as exc:
+            print(f"udleak: computation overflowed{_at(params)}: {exc}",
+                  file=sys.stderr)
+            return 1
+        scenarios.append(scenario)
+        sets.append(ints)
+    # from here on the stacks carry the grid; the per-point objects go
+    grid, ints = stack_points(scenarios), stack_points(sets)
+    del scenarios, sets
+    try:
+        with np.errstate(over="raise"):
+            batch = analyze(grid, settings, ints=ints)
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"udleak: computation overflowed in the measures of the grid: {exc}",
+              file=sys.stderr)
+        return 1
 
+    rows = []
+    exit_code = 0
+    point_sets = unstack(ints) if plan.fmt == "json" else itertools.repeat(None)
+    for (point, _), scenario, report, point_ints in zip(
+            _grid(plan), unstack(grid), unstack(batch), point_sets):
         if plan.validate:
             tol = _validate_tolerance(plan.mode, report)
             if report.agreement > tol:
                 print(
                     "udleak: validation failed: closed-vs-numeric disagreement "
-                    f"{report.agreement:.3e} exceeds {tol:.3e}", file=sys.stderr,
+                    f"{report.agreement:.3e} exceeds {tol:.3e}{_at(point)}",
+                    file=sys.stderr,
                 )
                 exit_code = max(exit_code, 2)
         if not report.perturbative_ok:
             print(
                 "udleak: warning: perturbative indicator "
-                f"{report.perturbative_indicator:.3e} exceeds 0.1",
+                f"{report.perturbative_indicator:.3e} exceeds 0.1{_at(point)}",
                 file=sys.stderr,
             )
         if plan.strict and report.perturbative_indicator > 1.0:
             print(
                 "udleak: perturbative expansion invalid (indicator "
-                f"{report.perturbative_indicator:.3e} > 1) under --strict",
+                f"{report.perturbative_indicator:.3e} > 1) under --strict{_at(point)}",
                 file=sys.stderr,
             )
             exit_code = max(exit_code, 3)
 
-        if plan.fmt == "csv":
-            rows.append(_csv_row(plan, params, gamma, report))
-        else:
-            records.append(_json_record(plan, params, gamma, report, ints))
+        params = _params_record(plan, scenario)
+        rows.append(_csv_row(params, report) if plan.fmt == "csv"
+                    else _json_record(params, report, point_ints))
 
     if plan.fmt == "csv":
         text = CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
     else:
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     out.write(text)
     return exit_code
+
+
+def _write_whole(path, text):
+    """Write to a new temporary file beside `path`, then rename it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def main(argv=None) -> int:
@@ -421,10 +406,10 @@ def main(argv=None) -> int:
         print(f"udleak: error: {exc}", file=sys.stderr)
         return 1
     try:
-        if plan.output:
-            with open(plan.output, "w", encoding="utf-8", newline="\n") as fh:
-                return run_plan(plan, out=fh)
-        return run_plan(plan)
+        if not plan.output:
+            return run_plan(plan)
+        buf = io.StringIO()
+        code = run_plan(plan, out=buf)
     except ConfigError as exc:
         print(f"udleak: invalid scenario: {'; '.join(exc.messages)}",
               file=sys.stderr)
@@ -432,6 +417,14 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"udleak: error: {exc}", file=sys.stderr)
         return 1
+    if code == 0:
+        try:
+            _write_whole(plan.output, buf.getvalue())
+        except OSError as exc:
+            print(f"udleak: error: cannot write {plan.output}: {exc}",
+                  file=sys.stderr)
+            return 1
+    return code
 
 
 if __name__ == "__main__":

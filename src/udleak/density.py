@@ -16,6 +16,11 @@ In eternal mode the corrections are all proportional to delta(0); the
 matrix returned then holds the *stripped* coefficients (delta(0) -> 1)
 and is flagged with delta0_power = 1.  Downstream rate extraction and
 closed-vs-numeric comparisons operate on exactly this stripped matrix.
+
+Every function broadcasts over a leading grid axis: given a stacked state,
+pair and integral set (model.stack_points) the elements are arrays, the
+matrix a (..., 4, 4) stack, and each diagnostic and the delta0 power hold
+one value per matrix.  A single scenario is the 0-d case.
 """
 
 from __future__ import annotations
@@ -37,13 +42,11 @@ X_MASK = np.array(
     ],
     dtype=bool,
 )
+# matrix slots of a1, a2, b1, b2, c1, c2, d1, d2
+_X_SLOTS = ((0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3))
 
 PERTURBATIVE_WARN = 0.1
 PERTURBATIVE_FAIL = 1.0
-
-
-class ModeMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,26 +70,25 @@ class DensityMatrix4:
 
 def _diagnose(m, correction_scale):
     herm = linalg.hermiticity_residual(m)
-    tr = float(abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag))
-    try:
-        min_eig = float(linalg.hermitian_eigenvalues(m, tol=max(1e-8, 2 * herm))[0])
-    except linalg.NotHermitian:
-        min_eig = float("nan")
-    return Diagnostics(herm, tr, min_eig, correction_scale)
+    tr = linalg.trace(m)
+    # a tolerance of twice the residual only symmetrizes: no matrix fails it
+    vals = linalg.hermitian_eigenvalues(m, tol=np.maximum(1e-8, 2 * herm))
+    return Diagnostics(herm, abs(tr.real - 1.0) + abs(tr.imag), vals[..., 0],
+                       correction_scale)
 
 
 def _projector(state: InitialState):
-    """alpha|gg> + gamma|ee> as a 4x4 projector.
+    """alpha|gg> + gamma|ee> as 4x4 projectors.
 
     Corners alpha^2, alpha gamma, gamma alpha, gamma^2 with the ee weight
     gamma^2 in the a1 slot (top-left by the ordering note above).
     """
     a, g = state.alpha, state.gamma
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = g * g
-    m[0, 3] = g * a
-    m[3, 0] = a * g
-    m[3, 3] = a * a
+    m = np.zeros(np.shape(a) + (4, 4), dtype=complex)
+    m[..., 0, 0] = g * g
+    m[..., 0, 3] = g * a
+    m[..., 3, 0] = a * g
+    m[..., 3, 3] = a * a
     return m
 
 
@@ -104,8 +106,8 @@ def x_elements(state: InitialState, pair: DetectorPairConfig, ints: IntegralSet)
     out of scope and never reaches the entanglement measures).
     """
     a, g = state.alpha, state.gamma
-    ca2 = pair.coupling_a**2
-    cb2 = pair.coupling_b**2
+    ca2 = linalg.pow2(pair.coupling_a)
+    cb2 = linalg.pow2(pair.coupling_b)
     cab = pair.coupling_a * pair.coupling_b
 
     e = {k: v.coeff for k, v in ints.entries().items()}
@@ -149,31 +151,20 @@ def evolved_density(state: InitialState, pair: DetectorPairConfig,
                     ints: IntegralSet) -> DensityMatrix4:
     """Assemble the later-time X-matrix from an integral set.
 
-    The delta0_power pattern of the integral set decides the mode: a
-    power-1 set yields the stripped eternal matrix (flagged power 1), a
+    The delta0_power of the integral set decides the mode, point by point:
+    a power-1 set yields the stripped eternal matrix (flagged power 1), a
     power-0 set the finite Gaussian-mode matrix.
     """
-    powers = {v.delta0_power for v in ints.entries().values()}
-    if not powers <= {0, 1}:
-        raise ModeMismatch(f"unexpected delta0 powers {powers}")
-    power = 1 if 1 in powers else 0
+    elements = x_elements(state, pair, ints)
+    m = np.zeros(np.broadcast(*elements).shape + (4, 4), dtype=complex)
+    for (i, j), value in zip(_X_SLOTS, elements):
+        m[..., i, j] = value
 
-    a1, a2, b1, b2, c1, c2, d1, d2 = x_elements(state, pair, ints)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = a1
-    m[0, 3] = a2
-    m[1, 1] = b1
-    m[1, 2] = b2
-    m[2, 1] = c1
-    m[2, 2] = c2
-    m[3, 0] = d1
-    m[3, 3] = d2
-
-    indicator = float(np.max(np.abs(m - _projector(state))))
-    return DensityMatrix4(m, power, _diagnose(m, indicator))
+    indicator = np.max(np.abs(m - _projector(state)), axis=(-2, -1))
+    return DensityMatrix4(m, ints.delta0_power, _diagnose(m, indicator))
 
 
 def check_x_structure(rho):
-    """Largest entry outside the diagonal/anti-diagonal X pattern."""
+    """Largest entry outside the diagonal/anti-diagonal X pattern, per matrix."""
     m = linalg.as_matrix4(rho.matrix if isinstance(rho, DensityMatrix4) else rho)
-    return float(np.max(np.abs(m[~X_MASK]))) if (~X_MASK).any() else 0.0
+    return np.max(np.abs(m[..., ~X_MASK]), axis=-1)

@@ -8,32 +8,42 @@ discrepancy so disagreement is a loud diagnostic, not a silent drift.
 Eternal-mode measures are distributional, so only initial values and
 per-unit-time rates are reported there; Gaussian mode reports the finite
 measures instead.
+
+The measures, closed forms and analyze broadcast over a leading grid axis:
+a stacked scenario and integral set (model.stack_points) go through the
+(..., 4, 4) kernel in one pass, and analyze returns one report whose fields
+are arrays over the points (model.unstack splits it).  A single scenario
+is a batch of one and gets plain numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .density import DensityMatrix4, evolved_density
+from .density import DensityMatrix4, evolved_density, x_elements
 from .integrals import (IntegralSet, NotDistributional, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
-from .model import ETERNAL, ValidatedScenario
+from .model import ETERNAL, ValidatedScenario, stack_points, unstack
 
 
 class BranchViolation(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class EntanglementReport:
+    # after mode, the order of the JSON output's report keys
     mode: str
     initial_negativity: float
     initial_concurrence: float
+    negativity_rate: float | None = None
+    concurrence_rate: float | None = None
+    negativity: float | None = None
+    concurrence: float | None = None
     pt_eigenvalues_closed: tuple
     pt_eigenvalues_numeric: tuple
     wootters_closed: tuple
@@ -41,43 +51,49 @@ class EntanglementReport:
     negative_pt_index: int
     shielded: bool
     agreement: float
-    max_quad_error: float
     perturbative_indicator: float
     perturbative_ok: bool
-    negativity: float | None = None
-    concurrence: float | None = None
-    negativity_rate: float | None = None
-    concurrence_rate: float | None = None
+    max_quad_error: float
 
 
 def negativity_numeric(rho: DensityMatrix4):
     """PPT route: sum of |negative eigenvalues| of the partial transpose."""
     pt = linalg.partial_transpose_b(rho.matrix)
     lams = linalg.hermitian_eigenvalues(pt, tol=1e-8)
-    neg = float(np.sum(np.abs(lams[lams < 0.0])))
-    return neg, tuple(lams)
+    neg = np.sum(np.where(lams < 0.0, np.abs(lams), 0.0), axis=-1)[()]
+    return neg, lams
 
 
 def concurrence_numeric(rho: DensityMatrix4):
     """Spin-flip route: max{0, l1' - l2' - l3' - l4'}."""
     lams = linalg.wootters_lambdas(rho.matrix, tol=1e-8)
-    conc = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
-    return conc, tuple(lams)
+    d = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return np.where(d > 0.0, d, 0.0)[()], lams
+
+
+def _cmul(u, v):
+    """u v rounding each real product on its own, as scalar complex
+    arithmetic does; numpy's vectorized multiply may fuse them (FMA)."""
+    out = np.empty(np.broadcast(u, v).shape, dtype=complex)
+    out.real = u.real * v.real - u.imag * v.imag
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
 
 
 def _two_by_two(tr_pair, cross):
     """Eigenvalue pair (s + t)/2 +- sqrt(((s-t)/2)^2 + cross)."""
     s, t = tr_pair
     half = 0.5 * (s + t)
-    disc = cmath.sqrt((0.5 * (s - t)) ** 2 + cross)
+    h = 0.5 * (s - t)
+    disc = np.sqrt(_cmul(h, h) + cross)
     return half + disc, half - disc
 
 
 @dataclass(frozen=True)
 class PtEigenvalues:
-    exact: tuple       # the 2x2-block closed forms, (l1, l2, l3, l4)
-    expanded: tuple    # second-order expansions
-    negative_index: int  # which of l1/l2 is the negative one
+    exact: np.ndarray     # the 2x2-block closed forms, (..., 4): l1, l2, l3, l4
+    expanded: np.ndarray  # second-order expansions, (..., 4)
+    negative_index: int   # which of l1/l2 is the negative one
 
 
 def pt_eigenvalues_closed(state, pair, ints: IntegralSet) -> PtEigenvalues:
@@ -88,31 +104,31 @@ def pt_eigenvalues_closed(state, pair, ints: IntegralSet) -> PtEigenvalues:
     alpha gamma in the bracket, so the minus branch (index 2) is negative
     for same-sign amplitudes and the plus branch (index 1) for opposite.
     """
-    from .density import x_elements
-
     a, g = state.alpha, state.gamma
     a1, a2, b1, b2, c1, c2, d1, d2 = x_elements(state, pair, ints)
-    hi, lo = _two_by_two((b1, c2), a2 * d1)
+    hi, lo = _two_by_two((b1, c2), _cmul(a2, d1))
     # label the outer pair so that l1 tracks the +(alpha gamma) bracket of
     # the expansion: for opposite-sign amplitudes the roles swap
-    l1, l2 = (hi, lo) if a * g >= 0 else (lo, hi)
-    l3, l4 = _two_by_two((a1, d2), b2 * c1)
-    exact = tuple(float(v.real) for v in (l1, l2, l3, l4))
+    same_sign = a * g >= 0
+    l1 = np.where(same_sign, hi, lo)
+    l2 = np.where(same_sign, lo, hi)
+    l3, l4 = _two_by_two((a1, d2), _cmul(b2, c1))
+    exact = np.stack([l1.real, l2.real, l3.real, l4.real], axis=-1)
 
-    ca2 = pair.coupling_a**2
-    cb2 = pair.coupling_b**2
+    ca2 = linalg.pow2(pair.coupling_a)
+    cb2 = linalg.pow2(pair.coupling_b)
     cab = pair.coupling_a * pair.coupling_b
     e = {k: v.coeff for k, v in ints.entries().items()}
-    half_sum = 0.5 * float((b1 + c2).real)
-    bracket = a * g - float(
-        (a * a * cab * e["xi_AB"]
-         + g * g * cab * e["Y_AB"]
-         + a * g * (ca2 * e["ReM_A"] + cb2 * e["ReM_B"])).real)
+    half_sum = 0.5 * (b1 + c2).real
+    bracket = a * g - (a * a * cab * e["xi_AB"]
+                       + g * g * cab * e["Y_AB"]
+                       + a * g * (ca2 * e["ReM_A"] + cb2 * e["ReM_B"])).real
     # the inner pair has no displayed expansion (a1 - d2 is itself second
     # order, so the cross term contributes at the same order); keep exact
-    expanded = (half_sum + bracket, half_sum - bracket, exact[2], exact[3])
+    expanded = np.stack([half_sum + bracket, half_sum - bracket,
+                         exact[..., 2], exact[..., 3]], axis=-1)
 
-    negative_index = 2 if a * g >= 0 else 1
+    negative_index = np.where(same_sign, 2, 1)[()]
     return PtEigenvalues(exact=exact, expanded=expanded,
                          negative_index=negative_index)
 
@@ -122,27 +138,24 @@ def wootters_closed_exact(state, pair, ints: IntegralSet):
 
     l'_{1,2}^2 = [(|a2|^2 + |d1|^2 + 2 a1 d2) +- sqrt((|a2|^2 - |d1|^2)^2
     + 4 a1 d2 (|a2|^2 + |d1|^2 + 2 Re(a2 d1)))] / 2, same shape for the
-    inner block with (b1, c2, b2, c1).  Descending order.
+    inner block with (b1, c2, b2, c1).  Descending order, shape (..., 4).
     """
-    from .density import x_elements
-
     a1, a2, b1, b2, c1, c2, d1, d2 = x_elements(state, pair, ints)
 
     def block(p, q, u, v):
         # p, q diagonal (a1, d2), u, v anti-diagonal (a2, d1)
-        su = abs(u) ** 2
-        sv = abs(v) ** 2
-        pq = float((p * q).real)
+        su = linalg.pow2(np.hypot(u.real, u.imag))
+        sv = linalg.pow2(np.hypot(v.real, v.imag))
+        pq = _cmul(p, q).real
         tr = su + sv + 2.0 * pq
-        disc = math.sqrt(max((su - sv) ** 2
-                             + 4.0 * pq * (su + sv + 2.0 * (u * v).real), 0.0))
-        hi = max(0.5 * (tr + disc), 0.0)
-        lo = max(0.5 * (tr - disc), 0.0)
-        return math.sqrt(hi), math.sqrt(lo)
+        disc = np.sqrt(np.maximum(linalg.pow2(su - sv)
+                                  + 4.0 * pq * (su + sv + 2.0 * _cmul(u, v).real), 0.0))
+        hi = np.maximum(0.5 * (tr + disc), 0.0)
+        lo = np.maximum(0.5 * (tr - disc), 0.0)
+        return np.sqrt(hi), np.sqrt(lo)
 
-    outer = block(a1, d2, a2, d1)
-    inner = block(b1, c2, b2, c1)
-    return tuple(sorted(outer + inner, reverse=True))
+    lams = np.stack(block(a1, d2, a2, d1) + block(b1, c2, b2, c1), axis=-1)
+    return np.sort(lams, axis=-1)[..., ::-1]
 
 
 def concurrence_closed(state, pair, ints: IntegralSet):
@@ -185,49 +198,52 @@ def leakage_rates(state, pair, ints: IntegralSet):
     Only meaningful for distributional (eternal) integral sets; the
     stripped deficit coefficients are divided by 2 pi.  Generalized to
     unequal couplings through the unexpanded block eigenvalues, which
-    reduces to the identical-coupling deficit when C_A = C_B.
+    reduces to the identical-coupling deficit when C_A = C_B.  Points at
+    or below threshold (power 0, every entry zero) have zero rates.
     """
-    entries = ints.entries().values()
-    if ints.delta0_power != 1:
-        if any(v.coeff != 0.0 for v in entries):
-            raise NotDistributional(
-                "leakage rates need an eternal (delta0_power = 1) integral set"
-            )
-        return 0.0, 0.0  # at or below threshold every entry vanishes
+    power = ints.delta0_power
+    nonzero = np.any([v.coeff != 0.0 for v in ints.entries().values()], axis=0)
+    if np.any((power != 1) & nonzero):
+        raise NotDistributional(
+            "leakage rates need an eternal (delta0_power = 1) integral set"
+        )
     a, g = state.alpha, state.gamma
-    ca2 = pair.coupling_a**2
-    cb2 = pair.coupling_b**2
+    ca2 = linalg.pow2(pair.coupling_a)
+    cb2 = linalg.pow2(pair.coupling_b)
     cab = pair.coupling_a * pair.coupling_b
     e = {k: v.coeff for k, v in ints.entries().items()}
-    pdd_a = float(e["P''_A"].real)
-    pdd_b = float(e["P''_B"].real)
-    m_a = float(e["ReM_A"].real)
-    m_b = float(e["ReM_B"].real)
+    pdd_a = e["P''_A"].real
+    pdd_b = e["P''_B"].real
+    m_a = e["ReM_A"].real
+    m_b = e["ReM_B"].real
     ag = abs(a * g)
 
     deficit_n = (ca2 * (ag * m_a + 0.5 * g * g * pdd_a)
                  + cb2 * (ag * m_b + 0.5 * g * g * pdd_b))
     deficit_c = (ag * (ca2 * (m_a + 0.5 * pdd_a) + cb2 * (m_b + 0.5 * pdd_b))
-                 + 2.0 * cab * g * g * math.sqrt(max(pdd_a * pdd_b, 0.0)))
-    return deficit_n / (2.0 * math.pi), deficit_c / (2.0 * math.pi)
+                 + 2.0 * cab * g * g * np.sqrt(np.maximum(pdd_a * pdd_b, 0.0)))
+    return (np.where(power == 1, deficit_n / (2.0 * math.pi), 0.0)[()],
+            np.where(power == 1, deficit_c / (2.0 * math.pi), 0.0)[()])
 
 
 def analyze(scenario: ValidatedScenario,
             settings: QuadratureSettings | None = None,
             ints: IntegralSet | None = None) -> EntanglementReport:
-    """Full pipeline for one scenario: integrals, density, both measures.
+    """Full pipeline: integrals, density, both measures.
 
-    Pass a precomputed integral set to skip the quadrature stage (the
-    front end does this so the set can also be serialized)."""
-    state = scenario.state
-    pair = scenario.pair
+    A single scenario runs as a batch of one and gives plain numbers; a
+    stacked one (model.stack_points) needs its stacked integral set and
+    gives arrays over the points.  Pass a precomputed integral set to skip
+    the quadrature stage (the front end does this so the set can also be
+    serialized)."""
     eternal = scenario.switching.kind == ETERNAL
-
-    if ints is None:
-        if eternal:
-            ints = eternal_integral_set(scenario)
-        else:
-            ints = gaussian_integral_set(scenario, settings)
+    single = np.ndim(scenario.state.alpha) == 0
+    if single:
+        if ints is None:
+            ints = (eternal_integral_set(scenario) if eternal
+                    else gaussian_integral_set(scenario, settings))
+        scenario, ints = stack_points([scenario]), stack_points([ints])
+    state, pair = scenario.state, scenario.pair
 
     rho = evolved_density(state, pair, ints)
     neg_num, pt_num = negativity_numeric(rho)
@@ -236,9 +252,9 @@ def analyze(scenario: ValidatedScenario,
     pt_closed = pt_eigenvalues_closed(state, pair, ints)
     w_closed = wootters_closed_exact(state, pair, ints)
 
-    agreement = max(
-        float(np.max(np.abs(np.sort(np.array(pt_closed.exact)) - np.array(pt_num)))),
-        float(np.max(np.abs(np.array(w_closed) - np.array(w_num)))),
+    agreement = np.maximum(
+        np.max(np.abs(np.sort(pt_closed.exact, axis=-1) - pt_num), axis=-1),
+        np.max(np.abs(w_closed - w_num), axis=-1),
     )
 
     ag = abs(state.alpha * state.gamma)
@@ -262,4 +278,5 @@ def analyze(scenario: ValidatedScenario,
         report.update(negativity_rate=dn, concurrence_rate=dc)
     else:
         report.update(negativity=neg_num, concurrence=conc_num)
-    return EntanglementReport(**report)
+    report = EntanglementReport(**report)
+    return next(unstack(report)) if single else report

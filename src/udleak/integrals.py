@@ -36,16 +36,19 @@ class QuadratureNonConvergence(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegulatedValue:
-    """A number times delta(0)^power, with a quadrature error estimate."""
+    """A number times delta(0)^power, with a quadrature error estimate
+    (each an array over the points in a stacked set)."""
 
     coeff: complex
     delta0_power: int = 0
     err: float = 0.0
 
     def __post_init__(self):
-        if self.delta0_power not in (0, 1):
+        power = self.delta0_power
+        if not (power in (0, 1) if isinstance(power, int)
+                else np.all((power == 0) | (power == 1))):
             raise ValueError(f"delta0_power must be 0 or 1, got {self.delta0_power}")
 
 
@@ -65,7 +68,7 @@ def rate(value: RegulatedValue):
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralSet:
     """The distinct correlation integrals of one scenario.
 
@@ -105,11 +108,11 @@ class IntegralSet:
 
     @property
     def max_err(self):
-        return max(v.err for v in self.entries().values())
+        return np.max([v.err for v in self.entries().values()], axis=0)
 
     @property
     def delta0_power(self):
-        return max(v.delta0_power for v in self.entries().values())
+        return np.max([v.delta0_power for v in self.entries().values()], axis=0)
 
 
 @dataclass(frozen=True)
@@ -228,8 +231,9 @@ def _feynman_cross_term(scenario, settings, p_max):
         return 2.0 * (re + 1j * im), 2.0 * (ere + eim)
 
     eps_hi, eps_lo = sorted(settings.eps_list, reverse=True)[:2]
-    u_hi, err_hi = u_integral(eps_hi)
+    # smaller regulator first: a huge one overflows before 2 eps is tried as inf
     u_lo, err_lo = u_integral(eps_lo)
+    u_hi, err_hi = u_integral(eps_hi)
     # linear Richardson in eps (assumes eps_hi = 2 eps_lo up to rounding)
     w = eps_hi / (eps_hi - eps_lo)
     u0 = w * u_lo - (w - 1.0) * u_hi

@@ -1,13 +1,17 @@
-"""4x4 complex matrix kernel.
+"""4x4 complex matrix kernel, batched over leading axes.
 
-Everything downstream works on 4x4 numpy arrays (row-major, complex).
-Eigen-decompositions go through LAPACK (numpy.linalg.eigh), which shares no
-code with the 2x2-block closed forms it is checked against; the same
-eigenvectors give the matrix square roots needed in the spin-flip
-(concurrence) construction.
+Everything downstream works on stacks of 4x4 numpy arrays, shape
+(..., 4, 4) (row-major, complex): a single matrix is the 0-d case, a sweep
+is one (N, 4, 4) stack.  Checks and tolerances apply to each matrix on its
+own.  Eigen-decompositions go through LAPACK (numpy.linalg.eigh, one call
+per stack), which shares no code with the 2x2-block closed forms it is
+checked against; the same eigenvectors give the matrix square roots needed
+in the spin-flip (concurrence) construction.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,34 +36,50 @@ SPIN_FLIP = np.array(
 )
 
 
+def pow2(x):
+    """x ** 2 elementwise through libm pow, as Python squares a float; numpy
+    array powers give x * x, which differs from pow in the last bit."""
+    return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, 2.0), dtype=float)
+
+
 def as_matrix4(m):
     a = np.asarray(m, dtype=complex)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
+    if a.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {a.shape}")
     return a
 
 
+def dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
 def hermiticity_residual(m):
+    """max |m - m^dagger| of each matrix."""
     m = as_matrix4(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
 
 
 def hermitian_eigensystem(m, tol=1e-10):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian 4x4 matrix.
+    """Eigenvalues (ascending) and eigenvectors of Hermitian 4x4 matrices.
 
-    Rejects matrices whose anti-Hermitian part exceeds tol, symmetrizes
-    away the allowed residual and diagonalizes with LAPACK.  Columns of the
-    returned matrix are the eigenvectors.
+    Rejects the stack if any matrix's anti-Hermitian part exceeds tol
+    (a scalar or one tolerance per matrix), symmetrizes away the allowed
+    residual and diagonalizes the whole stack with one LAPACK call.
+    Columns of each returned matrix are the eigenvectors.
     """
     m = as_matrix4(m)
     res = hermiticity_residual(m)
-    if res > tol:
-        raise NotHermitian(f"max |m - m^dagger| = {res:.3e} exceeds tol {tol:.3e}")
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
+    if np.any(res > tol):
+        raise NotHermitian(f"max |m - m^dagger| = {np.max(res):.3e} exceeds tol {np.min(tol):.3e}")
+    return np.linalg.eigh(0.5 * (m + dagger(m)))
 
 
 def hermitian_eigenvalues(m, tol=1e-10):
-    """Four real eigenvalues of a Hermitian 4x4 matrix, ascending."""
+    """Four real eigenvalues of each Hermitian 4x4 matrix, ascending."""
     vals, _ = hermitian_eigensystem(m, tol=tol)
     return vals
 
@@ -70,8 +90,9 @@ def partial_transpose_b(rho):
     On an X-matrix this swaps the inner off-diagonal pair with the corner
     pair, is trace- and Hermiticity-preserving, and is an involution.
     """
-    r = as_matrix4(rho).reshape(2, 2, 2, 2)
-    return np.ascontiguousarray(r.transpose(0, 3, 2, 1).reshape(4, 4))
+    rho = as_matrix4(rho)
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.ascontiguousarray(r.swapaxes(-3, -1).reshape(rho.shape))
 
 
 def spin_flip(rho):
@@ -86,15 +107,14 @@ def wootters_product(rho):
     return rho @ spin_flip(rho)
 
 
-def _psd_sqrt(m, clamp):
+def _psd_sqrt(m):
     vals, vecs = hermitian_eigensystem(m, tol=1e-8)
-    vals = np.where(vals < clamp, np.maximum(vals, 0.0), vals)
     vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
 def wootters_lambdas(rho, tol=1e-10):
-    """Spin-flip eigenvalue list lambda'_1 >= ... >= lambda'_4.
+    """Spin-flip eigenvalue lists lambda'_1 >= ... >= lambda'_4, shape (..., 4).
 
     Computed from the Hermitian product sqrt(rho) rho_tilde sqrt(rho)
     rather than the non-Hermitian rho rho_tilde: numerically stable and it
@@ -106,17 +126,16 @@ def wootters_lambdas(rho, tol=1e-10):
     """
     rho = as_matrix4(rho)
     res = hermiticity_residual(rho)
-    if res > tol:
-        raise NotHermitian(f"max |rho - rho^dagger| = {res:.3e} exceeds tol {tol:.3e}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
-        raise NotNormalized(f"trace(rho) = {tr!r}, expected 1 within 1e-8")
+    if np.any(res > tol):
+        raise NotHermitian(f"max |rho - rho^dagger| = {np.max(res):.3e} exceeds tol {tol:.3e}")
+    off = np.max(abs(trace(rho).real - 1.0))
+    if off > 1e-8:
+        raise NotNormalized(f"trace(rho) is {off:.3e} away from 1, beyond 1e-8")
 
-    clamp = 1e-12 * tr
-    root = _psd_sqrt(rho, clamp)
+    root = _psd_sqrt(rho)
     inner = root @ spin_flip(rho) @ root
-    inner = 0.5 * (inner + inner.conj().T)
+    inner = 0.5 * (inner + dagger(inner))
     vals = hermitian_eigenvalues(inner, tol=1e-8)
-    floor = 1e-13 * max(np.trace(inner).real, 0.0)
-    vals = np.where(vals < floor, 0.0, vals)
-    return np.sqrt(vals)[::-1]
+    floor = 1e-13 * np.maximum(trace(inner).real, 0.0)
+    vals = np.where(vals < floor[..., None], 0.0, vals)
+    return np.sqrt(vals)[..., ::-1]

@@ -7,8 +7,12 @@ so that the mass threshold DeltaE > m c^2 reads the same as on paper.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields, is_dataclass
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -27,14 +31,14 @@ ETERNAL = "eternal"
 GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitSystem:
     """Unit conventions. Only c is a free parameter; hbar = 1 throughout."""
 
     c: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InitialState:
     """Amplitudes of the entangled start state alpha|gg> + gamma|ee>.
 
@@ -47,7 +51,7 @@ class InitialState:
     gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectorPairConfig:
     """Two identical-gap static detectors a distance d apart.
 
@@ -61,7 +65,7 @@ class DetectorPairConfig:
     trajectory: str = "static"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """Real scalar field of mass m (units E0/c^2) in the Minkowski vacuum."""
 
@@ -69,7 +73,7 @@ class FieldSpec:
     state: str = "minkowski-vacuum"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwitchingSpec:
     """Interaction window: eternal (chi = 1) or Gaussian chi = exp(-t^2/2s^2)."""
 
@@ -77,7 +81,7 @@ class SwitchingSpec:
     sigma: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidatedScenario:
     """Bundle of validated configuration, safe to share between evaluators."""
 
@@ -162,3 +166,34 @@ def bell_state(sign=+1):
     """The maximally entangled start state alpha = |gamma| = 1/sqrt(2)."""
     a = 1.0 / math.sqrt(2.0)
     return InitialState(alpha=a, gamma=math.copysign(a, sign))
+
+
+def stack_points(items):
+    """One object of the items' dataclass type with a leading grid axis.
+
+    Numeric fields become arrays over the points, in order; fields that are
+    not numbers (kinds, labels, None) must agree and are kept once.  The
+    array code downstream reads the result like a single point.
+    """
+    first = items[0]
+    if is_dataclass(first):
+        return type(first)(**{f.name: stack_points([getattr(x, f.name) for x in items])
+                              for f in fields(first)})
+    if isinstance(first, numbers.Number):
+        return np.array(items)
+    if any(x != first for x in items):
+        raise ValueError(f"points disagree in a non-numeric field: {first!r}")
+    return first
+
+
+def unstack(batch):
+    """Iterate over the points of a stacked object in grid order, as objects
+    of the same type holding plain Python numbers (vectors as tuples)."""
+    if is_dataclass(batch):
+        names = [f.name for f in fields(batch)]
+        rows = zip(*(unstack(getattr(batch, name)) for name in names))
+        return (type(batch)(**dict(zip(names, row))) for row in rows)
+    if isinstance(batch, np.ndarray):
+        values = batch.tolist()
+        return map(tuple, values) if batch.ndim > 1 else iter(values)
+    return itertools.repeat(batch)   # shared by every point

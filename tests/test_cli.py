@@ -215,6 +215,10 @@ BAD_VALUES = [
     (["--p-max", "inf"], "--p-max"),
     (["--p-max", "-2"], "--p-max"),
     (["--quad-tol", "-1"], "--quad-tol"),
+    (["--epsilon", "1e308"], "overflowed"),
+    (["--p-max", "1e308"], "overflowed"),
+    (["--delta-e", "1e300"], "overflowed"),
+    (["--sigma", "1e-300"], "overflowed"),
 ]
 
 
@@ -227,3 +231,37 @@ def test_bad_value_exits_1_with_one_line(capsys, extra, named):
     assert named in captured.err
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_overflow_names_the_point(capsys):
+    assert main(GAUSSIAN_BASE + ["--sigma", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert "sigma=1e-300" in err and "delta_e=1.0" in err
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--delta-e", "-1"], 1),
+    (["--validate", "--coupling-a", "1e-3", "--coupling-b", "1e-3"], 2),
+], ids=["invalid-scenario", "validate-breach"])
+def test_failed_run_leaves_output_untouched(tmp_path, extra, code):
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"previous run\n")
+    assert main(BASE + ["--distance", "0.5", "--output", str(out)] + extra) == code
+    assert out.read_bytes() == b"previous run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_output_replaces_existing_file(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("previous run\n")
+    assert main(BASE + ["--output", str(out)]) == 0
+    assert out.read_text() == _run(BASE)[1]
+
+
+def test_warning_names_the_sweep_point(capsys):
+    code = main(BASE + ["--sweep", "coupling_a=0.1:2:2"])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "warning: perturbative indicator" in lines[0]
+    assert lines[0].endswith(" at coupling_a=2.0")
