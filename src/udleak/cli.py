@@ -3,7 +3,8 @@
 Output is deterministic: fixed float formatting (17 significant digits),
 grid order follows sweep declaration order, no timestamps.  Exit codes:
 0 success, 1 bad arguments (offending token named) or a computation that
-overflowed, 2 quadrature non-convergence or a --validate tolerance breach,
+overflowed, 2 quadrature non-convergence, a --validate tolerance breach or
+a failed trace or Hermiticity check of a density matrix (the point named),
 3 a perturbative-regime error under --strict.  An --output file is written
 whole, and only on exit 0.
 """
@@ -24,6 +25,7 @@ import numpy as np
 from .entanglement import analyze
 from .integrals import (QuadratureNonConvergence, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
+from .linalg import MatrixCheckFailed
 from .model import (ETERNAL, GAUSSIAN, ConfigError, DetectorPairConfig,
                     FieldSpec, InitialState, SwitchingSpec, UnitSystem,
                     stack_points, unstack, validate_config)
@@ -33,9 +35,6 @@ CSV_HEADER = ("mode,delta_e,mass,c,distance,coupling_a,coupling_b,alpha,"
               "gamma,sigma,initial_negativity,initial_concurrence,"
               "negativity_rate,concurrence_rate,negativity,concurrence,"
               "perturbative_ok,max_quad_error")
-
-SWEEPABLE = ("delta_e", "mass", "distance", "coupling_a", "coupling_b",
-             "alpha", "sigma")
 
 # numeric-vs-closed agreement bounds enforced by --validate; the actual
 # bound also allows for the second-order truncation artifact (the exact
@@ -51,7 +50,8 @@ def _validate_tolerance(mode, report):
                10.0 * report.max_quad_error)
 
 
-class CliError(ValueError):
+class CliError(Exception):
+    # not a ValueError: argparse passes it on unchanged from a type function
     pass
 
 
@@ -61,38 +61,6 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-
-    def values(self):
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-@dataclass
-class RunPlan:
-    mode: str = ETERNAL
-    delta_e: float = 1.0
-    mass: float = 0.0
-    distance: float = 0.0
-    coupling_a: float = 0.1
-    coupling_b: float = 0.1
-    alpha: float = 1.0 / math.sqrt(2.0)
-    gamma_sign: int = +1
-    sigma: float | None = None
-    c_light: float = 1.0
-    epsilon: float = 1e-3
-    p_max: float | None = None
-    quad_tol: float = 1e-8
-    sweeps: list = field(default_factory=list)
-    shield_b: bool = False
-    validate: bool = False
-    strict: bool = False
-    fmt: str = "csv"
-    output: str | None = None
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2; the contract here is status 1
-    def error(self, message):
-        raise CliError(message)
 
 
 def _parse_sweep(token):
@@ -118,16 +86,66 @@ def _parse_sweep(token):
     return spec
 
 
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
+def _setting(default=None, sweepable=False, **argparse_kwargs):
+    """A RunPlan field: its default, whether --sweep may vary it, and how
+    argparse reads its --flag and config key."""
+    return field(default=default,
+                 metadata={"sweepable": sweepable, "argparse": argparse_kwargs})
 
-_CONFIG_FLOAT = ("delta_e", "mass", "distance", "coupling_a", "coupling_b",
-                 "alpha", "sigma", "c_light", "epsilon", "p_max", "quad_tol")
+
+@dataclass
+class RunPlan:
+    """Every setting of a run; each field is one --flag and one config key."""
+
+    mode: str = _setting(ETERNAL, choices=(ETERNAL, GAUSSIAN))
+    delta_e: float = _setting(1.0, sweepable=True, type=float)
+    mass: float = _setting(0.0, sweepable=True, type=float)
+    distance: float = _setting(0.0, sweepable=True, type=float)
+    coupling_a: float = _setting(0.1, sweepable=True, type=float)
+    coupling_b: float = _setting(0.1, sweepable=True, type=float)
+    alpha: float = _setting(1.0 / math.sqrt(2.0), sweepable=True, type=float)
+    gamma_sign: str = _setting("+", choices=("+", "-"))
+    sigma: float | None = _setting(None, sweepable=True, type=float)
+    c_light: float = _setting(1.0, type=float)
+    epsilon: float = _setting(1e-3, type=float)
+    p_max: float | None = _setting(None, type=float)
+    quad_tol: float = _setting(1e-8, type=float)
+    sweep: list = field(default_factory=list, metadata={"argparse": dict(
+        action="append", type=_parse_sweep, metavar="name=start:stop:steps")})
+    shield_b: bool = _setting(False, action="store_true")
+    validate: bool = _setting(False, action="store_true")
+    strict: bool = _setting(False, action="store_true")
+    format: str = _setting("csv", choices=("csv", "json"))
+    output: str | None = _setting(None)
 
 
-def _read_config(path):
-    """One `key = value` per line, # comments; keys match the long flags."""
-    out = {}
+SWEEPABLE = tuple(f.name for f in fields(RunPlan) if f.metadata.get("sweepable"))
+_BOOLEANS = {f.name for f in fields(RunPlan) if f.type == "bool"}
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2; the contract here is status 1
+    def error(self, message):
+        raise CliError(message)
+
+
+def _settings_parser(**kwargs):
+    """One --flag per RunPlan field.  A setting not given stays out of the
+    namespace, so RunPlan's own default applies."""
+    parser = _Parser(argument_default=argparse.SUPPRESS, **kwargs)
+    for f in fields(RunPlan):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            **f.metadata["argparse"])
+    return parser
+
+
+def _read_config(path, ns):
+    """Parse a config file into `ns` with the settings parser, one line at
+    a time: `key = value` becomes `--key=value` (a boolean: the bare flag
+    when true, unset when false).  # starts a comment."""
+    parser = _settings_parser(add_help=False, allow_abbrev=False)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -137,73 +155,37 @@ def _read_config(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key == "sweep":
-            out.setdefault("sweeps", []).append(_parse_sweep(value))
-        elif key in _CONFIG_FLOAT:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise CliError(
-                    f"{path}:{lineno}: {key} needs a number, got {value!r}"
-                ) from None
-        elif key in ("shield_b", "validate", "strict"):
-            low = value.lower()
-            if low in _BOOL_TRUE:
-                out[key] = True
-            elif low in _BOOL_FALSE:
-                out[key] = False
+        try:
+            if "=" not in line:
+                raise CliError(f"expected key = value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            name = key.replace("-", "_")
+            flag = "--" + name.replace("_", "-")
+            if name not in _BOOLEANS:
+                tokens = [f"{flag}={value}"]
+            elif value.lower() in _BOOLEAN_WORDS:
+                vars(ns).pop(name, None)   # a later line overrides an earlier one
+                tokens = [flag] if _BOOLEAN_WORDS[value.lower()] else []
             else:
-                raise CliError(f"{path}:{lineno}: {key} needs a boolean, got {value!r}")
-        elif key in ("mode", "gamma_sign", "format", "output"):
-            out[key] = value
-        else:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-    return out
+                raise CliError(f"{name} needs a boolean, got {value!r}")
+            parser.parse_args(tokens, ns)
+        except CliError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
 
 
 def parse_args(argv) -> RunPlan:
-    parser = _Parser(prog="udleak", add_help=True, description=__doc__)
-    add = parser.add_argument
-    add("--mode", choices=(ETERNAL, GAUSSIAN))
-    add("--delta-e", type=float, dest="delta_e")
-    add("--mass", type=float)
-    add("--distance", type=float)
-    add("--coupling-a", type=float, dest="coupling_a")
-    add("--coupling-b", type=float, dest="coupling_b")
-    add("--alpha", type=float)
-    add("--gamma-sign", choices=("+", "-"), dest="gamma_sign")
-    add("--sigma", type=float)
-    add("--c-light", type=float, dest="c_light")
-    add("--epsilon", type=float)
-    add("--p-max", type=float, dest="p_max")
-    add("--quad-tol", type=float, dest="quad_tol")
-    add("--sweep", action="append", default=[], metavar="name=start:stop:steps")
-    add("--shield-b", action="store_true", default=None, dest="shield_b")
-    add("--validate", action="store_true", default=None)
-    add("--strict", action="store_true", default=None)
-    add("--format", choices=("csv", "json"), dest="fmt")
-    add("--output")
-    add("--config")
-    ns = parser.parse_args(argv)
+    parser = _settings_parser(prog="udleak", description=__doc__)
+    parser.add_argument("--config")
+    config = getattr(parser.parse_args(argv), "config", None)
 
-    # config values first, then every flag given on the command line
-    values = _read_config(ns.config) if ns.config else {}
-    for key, choices in (("format", ("csv", "json")), ("gamma_sign", ("+", "-")),
-                         ("mode", (ETERNAL, GAUSSIAN))):
-        if key in values and values[key] not in choices:
-            raise CliError(f"config {key} must be {' or '.join(choices)}, "
-                           f"got {values[key]!r}")
-    if "format" in values:
-        values["fmt"] = values.pop("format")
-    sweeps = values.pop("sweeps", []) + [_parse_sweep(tok) for tok in ns.sweep]
-    values.update((key, value) for key, value in vars(ns).items()
-                  if value is not None and key not in ("config", "sweep"))
-    plan = RunPlan(**values, sweeps=sweeps)
-    plan.gamma_sign = -1 if plan.gamma_sign == "-" else +1
+    # config lines first, then the command line again on top: flags
+    # override config values, and their sweeps follow the config's
+    ns = argparse.Namespace()
+    if config:
+        _read_config(config, ns)
+    settings = vars(parser.parse_args(argv, ns))
+    settings.pop("config", None)
+    plan = RunPlan(**settings)
 
     for flag, value in (("--epsilon", plan.epsilon), ("--p-max", plan.p_max),
                         ("--quad-tol", plan.quad_tol)):
@@ -214,20 +196,17 @@ def parse_args(argv) -> RunPlan:
     if not (0.0 <= plan.alpha <= 1.0):
         raise CliError(f"alpha must lie in [0, 1], got {plan.alpha}")
     if plan.mode == GAUSSIAN and plan.sigma is None and not any(
-            s.name == "sigma" for s in plan.sweeps):
+            s.name == "sigma" for s in plan.sweep):
         raise CliError("gaussian mode needs sigma (flag --sigma or a sweep)")
     return plan
 
 
 def _grid(plan: RunPlan):
     """(sweep point, every scenario value) dict pairs in grid order."""
-    names = [spec.name for spec in plan.sweeps]
-    base = dict(
-        delta_e=plan.delta_e, mass=plan.mass, distance=plan.distance,
-        coupling_a=plan.coupling_a, coupling_b=plan.coupling_b,
-        alpha=plan.alpha, sigma=plan.sigma,
-    )
-    for combo in itertools.product(*(spec.values() for spec in plan.sweeps)):
+    names = [spec.name for spec in plan.sweep]
+    base = {name: getattr(plan, name) for name in SWEEPABLE}
+    for combo in itertools.product(*(np.linspace(spec.start, spec.stop, spec.steps)
+                                     for spec in plan.sweep)):
         point = dict(zip(names, (float(v) for v in combo)))
         params = {**base, **point}
         if plan.shield_b:
@@ -236,7 +215,8 @@ def _grid(plan: RunPlan):
 
 
 def _scenario_for(plan: RunPlan, params: dict):
-    gamma = plan.gamma_sign * math.sqrt(max(1.0 - params["alpha"] ** 2, 0.0))
+    sign = -1.0 if plan.gamma_sign == "-" else 1.0
+    gamma = sign * math.sqrt(max(1.0 - params["alpha"] ** 2, 0.0))
     pair = DetectorPairConfig(
         delta_e=params["delta_e"],
         coupling_a=params["coupling_a"],
@@ -328,7 +308,7 @@ def run_plan(plan: RunPlan, out=None):
             print(f"udleak: quadrature non-convergence: {exc}{_at(point)}",
                   file=sys.stderr)
             return 2
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             print(f"udleak: computation overflowed{_at(params)}: {exc}",
                   file=sys.stderr)
             return 1
@@ -344,10 +324,14 @@ def run_plan(plan: RunPlan, out=None):
         print(f"udleak: computation overflowed in the measures of the grid: {exc}",
               file=sys.stderr)
         return 1
+    except MatrixCheckFailed as exc:   # a trace or Hermiticity check
+        _, params = next(itertools.islice(_grid(plan), exc.index, None))
+        print(f"udleak: numeric check failed: {exc}{_at(params)}", file=sys.stderr)
+        return 2
 
     rows = []
     exit_code = 0
-    point_sets = unstack(ints) if plan.fmt == "json" else itertools.repeat(None)
+    point_sets = unstack(ints) if plan.format == "json" else itertools.repeat(None)
     for (point, _), scenario, report, point_ints in zip(
             _grid(plan), unstack(grid), unstack(batch), point_sets):
         if plan.validate:
@@ -374,10 +358,10 @@ def run_plan(plan: RunPlan, out=None):
             exit_code = max(exit_code, 3)
 
         params = _params_record(plan, scenario)
-        rows.append(_csv_row(params, report) if plan.fmt == "csv"
+        rows.append(_csv_row(params, report) if plan.format == "csv"
                     else _json_record(params, report, point_ints))
 
-    if plan.fmt == "csv":
+    if plan.format == "csv":
         text = CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
     else:
         text = json.dumps(rows, indent=2) + "\n"
@@ -399,23 +383,18 @@ def _write_whole(path, text):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         plan = parse_args(argv)
-    except CliError as exc:
-        print(f"udleak: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if not plan.output:
             return run_plan(plan)
         buf = io.StringIO()
         code = run_plan(plan, out=buf)
+    except CliError as exc:
+        print(f"udleak: error: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"udleak: invalid scenario: {'; '.join(exc.messages)}",
               file=sys.stderr)
-        return 1
-    except CliError as exc:
-        print(f"udleak: error: {exc}", file=sys.stderr)
         return 1
     if code == 0:
         try:

@@ -134,7 +134,10 @@ class QuadratureSettings:
         if self.p_max is not None:
             return self.p_max
         sigma = scenario.switching.sigma or 1.0
-        return 10.0 * max(scenario.pair.delta_e, 1.0 / sigma) / scenario.units.c
+        p_max = 10.0 * max(scenario.pair.delta_e, 1.0 / sigma) / scenario.units.c
+        if not math.isfinite(p_max):
+            raise OverflowError(f"default p_max = {p_max} is not finite")
+        return p_max
 
 
 def threshold_momentum(scenario):
@@ -166,6 +169,8 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
     root = math.sqrt(max(de * de - mc2 * mc2, 0.0))
 
     p_dd = root / (2.0 * c**3)
+    if not math.isfinite(p_dd):
+        raise OverflowError(f"P'' = {p_dd} is not finite")
     m_re = root / (4.0 * c**3)
     x = p_dd * float(_sinc(root * scenario.pair.distance / c))
 

@@ -16,11 +16,20 @@ import math
 import numpy as np
 
 
-class NotHermitian(ValueError):
+class MatrixCheckFailed(ValueError):
+    """A check failed on a stack; `index` is the flat index, over the
+    leading axes, of the matrix that failed it worst."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
+class NotHermitian(MatrixCheckFailed):
     pass
 
 
-class NotNormalized(ValueError):
+class NotNormalized(MatrixCheckFailed):
     pass
 
 
@@ -67,15 +76,22 @@ def hermitian_eigensystem(m, tol=1e-10):
     """Eigenvalues (ascending) and eigenvectors of Hermitian 4x4 matrices.
 
     Rejects the stack if any matrix's anti-Hermitian part exceeds tol
-    (a scalar or one tolerance per matrix), symmetrizes away the allowed
+    (a scalar or one tolerance per matrix) or is not finite, with the
+    index of the worst matrix (NotHermitian), symmetrizes away the allowed
     residual and diagonalizes the whole stack with one LAPACK call.
     Columns of each returned matrix are the eigenvectors.
     """
     m = as_matrix4(m)
-    res = hermiticity_residual(m)
-    if np.any(res > tol):
-        raise NotHermitian(f"max |m - m^dagger| = {np.max(res):.3e} exceeds tol {np.min(tol):.3e}")
+    _check_hermitian(m, tol)
     return np.linalg.eigh(0.5 * (m + dagger(m)))
+
+
+def _check_hermitian(m, tol):
+    res, tol = np.broadcast_arrays(hermiticity_residual(m), tol)
+    worst = np.argmax(res - tol)   # argmax picks a NaN first
+    res, tol = res.flat[worst], tol.flat[worst]
+    if not res <= tol:   # a non-finite entry gives a NaN or inf residual: fails
+        raise NotHermitian(f"|m - m^dagger| = {res:.3e} exceeds tol {tol:.3e}", worst)
 
 
 def hermitian_eigenvalues(m, tol=1e-10):
@@ -125,12 +141,11 @@ def wootters_lambdas(rho, tol=1e-10):
     on exact-zero eigenvalues into O(1e-8) spurious lambda' values.
     """
     rho = as_matrix4(rho)
-    res = hermiticity_residual(rho)
-    if np.any(res > tol):
-        raise NotHermitian(f"max |rho - rho^dagger| = {np.max(res):.3e} exceeds tol {tol:.3e}")
-    off = np.max(abs(trace(rho).real - 1.0))
-    if off > 1e-8:
-        raise NotNormalized(f"trace(rho) is {off:.3e} away from 1, beyond 1e-8")
+    _check_hermitian(rho, tol)
+    off = np.ravel(abs(trace(rho).real - 1.0))
+    worst = np.argmax(off)
+    if off[worst] > 1e-8:
+        raise NotNormalized(f"trace(rho) is {off[worst]:.3e} away from 1, beyond 1e-8", worst)
 
     root = _psd_sqrt(rho)
     inner = root @ spin_flip(rho) @ root

@@ -61,9 +61,6 @@ class PositionKernel:
                 f"epsilon = {self.epsilon} below floor {EPSILON_FLOOR}"
             )
 
-    def value(self, dt, r):
-        return wightman_position(self, dt, r)
-
 
 def wightman_position(kernel, dt, r):
     """Closed-form G(dt, r) for the kernel's mass and regulator.

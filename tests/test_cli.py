@@ -219,6 +219,8 @@ BAD_VALUES = [
     (["--p-max", "1e308"], "overflowed"),
     (["--delta-e", "1e300"], "overflowed"),
     (["--sigma", "1e-300"], "overflowed"),
+    (["--c-light", "1e-300", "--distance", "0"], "overflowed"),
+    (["--mode", "eternal", "--c-light", "1e-300"], "overflowed"),
 ]
 
 
@@ -231,6 +233,32 @@ def test_bad_value_exits_1_with_one_line(capsys, extra, named):
     assert named in captured.err
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
+
+
+CHECK_FAILURES = [
+    # the trace is 1 + 1.3e-8: the coupling squared times the quadrature error
+    (["--mode", "gaussian", "--sigma", "1", "--coupling-a", "0.5",
+      "--coupling-b", "0.5", "--distance", "0.5"], "coupling_a=0.5"),
+    (["--coupling-a", "1e150", "--coupling-b", "0"], "coupling_a=1e+150"),
+    # only the second point of the sweep fails
+    (["--mode", "gaussian", "--sigma", "1", "--coupling-b", "0.5",
+      "--distance", "0.5", "--sweep", "coupling_a=0.1:0.5:2"], "coupling_a=0.5"),
+    # Y_AB comes out NaN, and so does the density matrix
+    (["--mode", "gaussian", "--sigma", "1", "--mass", "1e150"], "mass=1e+150"),
+]
+
+
+@pytest.mark.parametrize("argv, named", CHECK_FAILURES,
+                         ids=["gaussian-trace", "huge-coupling", "sweep-point",
+                              "nan-matrix"])
+def test_failed_matrix_check_exits_2_naming_the_point(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("udleak: numeric check failed: ")
+    assert f"{named}, " in captured.err
 
 
 def test_overflow_names_the_point(capsys):
@@ -265,3 +293,55 @@ def test_warning_names_the_sweep_point(capsys):
     assert len(lines) == 1
     assert "warning: perturbative indicator" in lines[0]
     assert lines[0].endswith(" at coupling_a=2.0")
+
+
+# each kind of RunPlan field: config lines, the same settings as flags, and
+# flags that override them, given before or after --config
+CONFIG_KINDS = {
+    "float": ("mass = 0.3\ndelta-e = 2\n", ["--mass", "0.3", "--delta-e", "2"],
+              ["--mass", "0.4"]),
+    "optional-float": ("mode = gaussian\nsigma = 2\np_max = 20\n",
+                       ["--mode", "gaussian", "--sigma", "2", "--p-max", "20"],
+                       ["--sigma", "3"]),
+    "choice": ("gamma_sign = -\nformat = json\n",
+               ["--gamma-sign", "-", "--format", "json"], ["--gamma-sign", "+"]),
+    "bool-true": ("validate = yes\nshield-b = ON\n", ["--validate", "--shield-b"],
+                  ["--validate"]),
+    "bool-false": ("strict = off\nvalidate = 1\nvalidate = no\n", [], ["--strict"]),
+    "repeated-sweep": ("sweep = mass=0:1:3\nsweep = alpha=0:1:2\n",
+                       ["--sweep", "mass=0:1:3", "--sweep", "alpha=0:1:2"],
+                       ["--sweep", "distance=0:1:2"]),
+    "string": ("output = rows.csv\n", ["--output", "rows.csv"],
+               ["--output", "other.csv"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_KINDS))
+def test_config_equals_flags(tmp_path, kind):
+    text, flags, override = CONFIG_KINDS[kind]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert parse_args(["--config", str(cfg)]) == parse_args(flags)
+    assert (parse_args(["--config", str(cfg)] + override)
+            == parse_args(override + ["--config", str(cfg)])
+            == parse_args(flags + override))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("mass = lots", "mass"),
+    ("mode = bogus", "mode"),
+    ("gamma_sign = x", "gamma-sign"),
+    ("validate = maybe", "validate"),
+    ("frobnicate = 1", "frobnicate"),
+    ("config = x.cfg", "config"),
+    ("mass 0.5", "mass"),
+])
+def test_config_error_names_line_and_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# comparison run\ndelta_e = 2\n{line}\n")
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"udleak: error: {cfg}:3: ")
+    assert key in captured.err

@@ -82,6 +82,25 @@ def test_gaussian_json_within_tolerance(name):
     _assert_close(got, want)
 
 
+def _as_config(argv):
+    """The plan's flags as config lines: `--name value` becomes
+    `name = value`, a bare flag `name = true`."""
+    lines, tokens = [], list(argv)
+    while tokens:
+        key = tokens.pop(0)[2:]
+        value = tokens.pop(0) if tokens and not tokens[0].startswith("--") else "true"
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted({**ETERNAL_PLANS, **GAUSSIAN_PLANS}))
+def test_plan_as_config_file_prints_the_same(tmp_path, name):
+    argv = {**ETERNAL_PLANS, **GAUSSIAN_PLANS}[name]
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(_as_config(argv))
+    assert _output(["--config", str(cfg)]) == _output(argv)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in {**ETERNAL_PLANS, **GAUSSIAN_PLANS}.items():

@@ -131,6 +131,20 @@ def test_wootters_rejects_unnormalized():
         linalg.wootters_lambdas(np.eye(4, dtype=complex) * 0.5)
 
 
+def test_failed_check_carries_the_worst_index():
+    stack = np.stack([np.eye(4, dtype=complex) * 0.25] * 3)
+    stack[1, 0, 0] += 2e-8
+    stack[2, 0, 0] += 1e-6
+    with pytest.raises(linalg.NotNormalized) as info:
+        linalg.wootters_lambdas(stack)
+    assert info.value.index == 2
+    stack[0, 0, 1] = 1e-5
+    stack[1, 0, 1] = 1e-3
+    with pytest.raises(linalg.NotHermitian) as info:
+        linalg.hermitian_eigenvalues(stack, tol=np.array([1e-10, 1e-10, 1.0]))
+    assert info.value.index == 1
+
+
 def test_wootters_clamps_truncation_negatives():
     # tiny negative diagonal from a second-order truncation must not NaN
     m = np.diag([0.6, -1e-13, 0.0, 0.4]).astype(complex)
