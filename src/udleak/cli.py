@@ -5,8 +5,9 @@ grid order follows sweep declaration order, no timestamps.  Exit codes:
 0 success, 1 bad arguments (offending token named) or a computation that
 overflowed, 2 quadrature non-convergence, a --validate tolerance breach or
 a failed trace or Hermiticity check of a density matrix (the point named),
-3 a perturbative-regime error under --strict.  An --output file is written
-whole, and only on exit 0.
+3 a perturbative-regime error under --strict.  A warning raised while a
+point's integrals are computed prints as one "udleak: warning:" line naming
+the point.  An --output file is written whole, and only on exit 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -193,6 +195,9 @@ def parse_args(argv) -> RunPlan:
             raise CliError(f"{flag} must be finite and positive, got {value}")
     if plan.epsilon < EPSILON_FLOOR:
         raise CliError(f"--epsilon must be >= {EPSILON_FLOOR}, got {plan.epsilon}")
+    if not math.isfinite(2.0 * plan.epsilon):
+        raise CliError(f"--epsilon {plan.epsilon} overflowed: the regulator "
+                       "pair is 2 x epsilon and epsilon")
     if not (0.0 <= plan.alpha <= 1.0):
         raise CliError(f"alpha must lie in [0, 1], got {plan.alpha}")
     if plan.mode == GAUSSIAN and plan.sigma is None and not any(
@@ -287,6 +292,16 @@ def _json_record(params, report, ints):
     }
 
 
+def _one_line_warnings(caught):
+    """The distinct messages of the recorded warnings, each on one line;
+    empties the record."""
+    if not caught:
+        return ()
+    lines = tuple(dict.fromkeys(" ".join(str(w.message).split()) for w in caught))
+    caught.clear()
+    return lines
+
+
 def run_plan(plan: RunPlan, out=None):
     """Execute the grid and emit records; returns the exit code.  Points are
     validated and integrated one by one, then analysed as one stacked batch;
@@ -298,22 +313,25 @@ def run_plan(plan: RunPlan, out=None):
         eps_list=(2.0 * plan.epsilon, plan.epsilon),
     )
 
-    scenarios, sets = [], []
-    for point, params in _grid(plan):
-        try:
-            scenario = _scenario_for(plan, params)
-            ints = (eternal_integral_set(scenario) if plan.mode == ETERNAL
-                    else gaussian_integral_set(scenario, settings))
-        except QuadratureNonConvergence as exc:
-            print(f"udleak: quadrature non-convergence: {exc}{_at(point)}",
-                  file=sys.stderr)
-            return 2
-        except (OverflowError, ZeroDivisionError) as exc:
-            print(f"udleak: computation overflowed{_at(params)}: {exc}",
-                  file=sys.stderr)
-            return 1
-        scenarios.append(scenario)
-        sets.append(ints)
+    scenarios, sets, notes = [], [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for point, params in _grid(plan):
+            try:
+                scenario = _scenario_for(plan, params)
+                ints = (eternal_integral_set(scenario) if plan.mode == ETERNAL
+                        else gaussian_integral_set(scenario, settings))
+            except QuadratureNonConvergence as exc:
+                print(f"udleak: quadrature non-convergence: {exc}{_at(point)}",
+                      file=sys.stderr)
+                return 2
+            except (OverflowError, ZeroDivisionError) as exc:
+                print(f"udleak: computation overflowed{_at(params)}: {exc}",
+                      file=sys.stderr)
+                return 1
+            scenarios.append(scenario)
+            sets.append(ints)
+            notes.append(_one_line_warnings(caught))
     # from here on the stacks carry the grid; the per-point objects go
     grid, ints = stack_points(scenarios), stack_points(sets)
     del scenarios, sets
@@ -332,8 +350,10 @@ def run_plan(plan: RunPlan, out=None):
     rows = []
     exit_code = 0
     point_sets = unstack(ints) if plan.format == "json" else itertools.repeat(None)
-    for (point, _), scenario, report, point_ints in zip(
-            _grid(plan), unstack(grid), unstack(batch), point_sets):
+    for (point, _), scenario, report, point_ints, point_notes in zip(
+            _grid(plan), unstack(grid), unstack(batch), point_sets, notes):
+        for note in point_notes:
+            print(f"udleak: warning: {note}{_at(point)}", file=sys.stderr)
         if plan.validate:
             tol = _validate_tolerance(plan.mode, report)
             if report.agreement > tol:

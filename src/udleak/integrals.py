@@ -8,8 +8,14 @@ Gaussian switching: every double time integral of a non-time-ordered
 entry factorizes mode by mode into products of switching-window Fourier
 transforms, leaving a single smooth radial momentum quadrature (angular
 part analytic, sinc(p d) where a phase exp(+-i p.d) appears).  The
-time-ordered cross terms are evaluated against the position-space kernel
-with the regulator extrapolated to zero.
+time-ordered cross term Y_AB (= xi_AB) is a Gaussian-weighted integral of
+the position-space kernel along u = tA - tB'.  At d > 0 it needs no
+regulator: massless, it is closed (a Dawson-function principal value plus
+the light-cone delta); massive, the massless kernel is subtracted and the
+log-singular remainder is integrated at eps = 0.  At d = 0 Y_AB is
+UV-divergent, and the kernel is integrated with the regulator in place
+and extrapolated to eps -> 0 from QuadratureSettings.eps_list (the CLI's
+--epsilon); that number depends on the regulator, a known defect.
 
 A brute-force evaluator of the raw definitions (nested time x time x
 radial-mode quadrature, no factorization) is provided as the independent
@@ -18,11 +24,13 @@ oracle for everything else.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
+from scipy.special import dawsn, j1, kv, sici, y1
 
 from .model import ETERNAL, GAUSSIAN, ValidatedScenario
 from .wightman import PositionKernel, switching_fourier, wightman_position
@@ -121,7 +129,7 @@ class QuadratureSettings:
 
     tol: float = 1e-8
     p_max: float | None = None       # default 10 max(dE, 1/sigma) / c
-    eps_list: tuple = (2e-3, 1e-3)   # regulators, Richardson-extrapolated to 0
+    eps_list: tuple = (2e-3, 1e-3)   # d = 0 Y_AB regulators, extrapolated to 0
     window: float | None = None      # oracle time half-width, default 7 sigma
 
     def __post_init__(self):
@@ -199,27 +207,18 @@ def _radial_quadrature(scenario, weight, p_max, tol, with_sinc, points=None):
     return val / (4.0 * math.pi**2), err / (4.0 * math.pi**2)
 
 
-def _feynman_cross_term(scenario, settings, p_max):
-    """Y_AB for Gaussian switching via the position-space kernel.
+def _regulated_cross_term(scenario, settings, v_factor):
+    """Y_AB at d = 0: the u-quadrature of the time-ordered kernel G(|u|, 0)
+    with the regulator eps in place, linearly extrapolated to eps -> 0.
 
-    In rotated coordinates u = tA - tB', v = tA + tB' the double integral
-    splits exactly: a smooth Gaussian v-integral (analytic) times a
-    u-quadrature of the time-ordered kernel G(|u|, d), which is singular
-    on the light cone u = d/c and therefore integrated with the regulator
-    eps in place and linearly extrapolated to eps -> 0.
+    Y_AB is UV-divergent at coincidence, so this number depends on the
+    regulator pair (settings.eps_list); it is kept as a known defect.
     """
     sigma = scenario.switching.sigma
-    de = scenario.pair.delta_e
     c = scenario.units.c
     d = scenario.pair.distance
     tol = settings.tol
-
-    # int dv exp(-v^2/4s^2 - i dE v) -- even in dE, so xi_AB = Y_AB(-dE) = Y_AB
-    v_factor = 2.0 * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
-
     u_max = 13.0 * sigma
-    x_cone = d / c
-    pts = [x_cone] if 0.0 < x_cone < u_max else None
 
     def u_integral(eps):
         kern = PositionKernel(mass=scenario.field.mass, c=c, epsilon=eps)
@@ -230,9 +229,9 @@ def _feynman_cross_term(scenario, settings, p_max):
             return w * (g.real if part == 0 else g.imag)
 
         re, ere = quad(f, 0.0, u_max, args=(0,), epsabs=tol, epsrel=1e-12,
-                       limit=800, points=pts)
+                       limit=800)
         im, eim = quad(f, 0.0, u_max, args=(1,), epsabs=tol, epsrel=1e-12,
-                       limit=800, points=pts)
+                       limit=800)
         return 2.0 * (re + 1j * im), 2.0 * (ere + eim)
 
     eps_hi, eps_lo = sorted(settings.eps_list, reverse=True)[:2]
@@ -246,6 +245,89 @@ def _feynman_cross_term(scenario, settings, p_max):
 
     coeff = 0.5 * v_factor * u0
     err = 0.5 * v_factor * (err_hi + err_lo + extrap_err)
+    return RegulatedValue(coeff, 0, err)
+
+
+def _feynman_cross_term(scenario, settings):
+    """Y_AB for Gaussian switching via the position-space kernel.
+
+    In rotated coordinates u = tA - tB', v = tA + tB' the double integral
+    splits exactly: a Gaussian v-integral v_factor (analytic) times
+    u0 = 2 int_0^inf du e^{-u^2/4 sigma^2} G(u, d), with G the time-ordered
+    kernel at eps -> 0, singular on the light cone u = x = d/c.
+
+    Massless, u0 is closed: the cone pole 1/(x^2 - u^2) gives a principal
+    value (the Hilbert transform of a Gaussian, a Dawson function) plus
+    -i pi delta(u - x)/(2x).  Massive, u0 is that closed part plus the
+    remainder 2 int e^{-u^2/4 sigma^2} (G_m - G_0) du, which is only
+    log-singular on the cone and is integrated at eps = 0: inside the cone
+    w = sqrt(x^2 - u^2) and the real K_1 applies; past it w = i y and
+    K_1(i z) = -(pi/2) (J_1(z) - i Y_1(z)).  Only the real part is singular;
+    the imaginary part lives past the cone and is smooth there.  At d = 0
+    the integral diverges and the regulated route is kept instead.
+    """
+    sigma = scenario.switching.sigma
+    de = scenario.pair.delta_e
+    c = scenario.units.c
+    d = scenario.pair.distance
+    tol = settings.tol
+
+    # int dv exp(-v^2/4s^2 - i dE v) -- even in dE, so xi_AB = Y_AB(-dE) = Y_AB
+    v_factor = 2.0 * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
+    if d == 0.0:
+        return _regulated_cross_term(scenario, settings, v_factor)
+
+    x = d / c
+    k = 1.0 / (4.0 * math.pi**2 * c**3)         # G = k / w^2 when massless
+    s2 = 4.0 * sigma * sigma
+    u0 = 2.0 * k * complex(math.sqrt(math.pi) * float(dawsn(x / (2.0 * sigma))) / x,
+                           -math.pi * math.exp(-x * x / s2) / (2.0 * x))
+    err = 0.0
+
+    mu = scenario.field.mass * c**2
+    if mu > 0.0:
+        u_max = x + 13.0 * sigma
+        half_pi_mu = 0.5 * math.pi * mu
+
+        def finite(val, u):
+            # a NaN handed back to quad can crash it, so stop here instead
+            if not math.isfinite(val):
+                raise QuadratureNonConvergence(
+                    f"entry Y_AB integrand is {val} at u = {u!r}")
+            return val
+
+        def re_part(u):
+            w2 = (x - u) * (x + u)
+            if w2 > 0.0:
+                w = math.sqrt(w2)
+                g = mu * kv(1, mu * w) / w
+            else:
+                y = math.sqrt(-w2)
+                g = half_pi_mu * y1(mu * y) / y
+            return finite(k * math.exp(-u * u / s2) * (g - 1.0 / w2), u)
+
+        def im_part(u):
+            y = math.sqrt((u - x) * (u + x))
+            return finite(k * math.exp(-u * u / s2) * half_pi_mu * j1(mu * y) / y, u)
+
+        # each part's error, times v_factor, targets tol in the coefficient;
+        # never looser than tol, since a loose target (tiny v_factor) lets
+        # quad's extrapolation stop early with a spurious "divergent" warning
+        epsabs = tol / max(1.0, 2.0 * v_factor)
+        # past the cone the kernel oscillates at frequency mu, about
+        # 2 mu sigma periods under the Gaussian: room for a few thousand
+        re, ere = quad(re_part, 0.0, u_max, epsabs=epsabs, epsrel=1e-12,
+                       limit=2000, points=[x])
+        im, eim = quad(im_part, x, u_max, epsabs=epsabs, epsrel=1e-12, limit=2000)
+        u0 += 2.0 * complex(re, im)
+        err = v_factor * (ere + eim)
+
+    coeff = 0.5 * v_factor * u0
+    if not cmath.isfinite(coeff):
+        raise OverflowError(f"Y_AB = {coeff} is not finite")
+    if not err <= max(tol, 1e-14 * abs(coeff)):
+        raise QuadratureNonConvergence(
+            f"entry Y_AB error estimate {err:.3e} exceeds tol {tol:.3e}")
     return RegulatedValue(coeff, 0, err)
 
 
@@ -306,7 +388,7 @@ def gaussian_integral_set(scenario: ValidatedScenario,
     return IntegralSet(p=p, p_dd=p_dd, p_bar=results["Pbar"], m_re=m_re,
                        p_ab_star=results["P*_AB"], p_ab_prime=results["P'_AB"],
                        x_ab=results["X_AB"],
-                       y_ab=_feynman_cross_term(scenario, settings, p_max))
+                       y_ab=_feynman_cross_term(scenario, settings))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +411,13 @@ _SEPARABLE = {
 ORACLE_ENTRIES = tuple(_SEPARABLE) + ("M", "Y_AB", "xi_AB")
 
 
-def _cumsimp(y, x):
-    # scipy's cumulative_simpson silently casts complex input to real
+def _cumsimp(y, dx):
+    # scipy's cumulative_simpson silently casts complex input to real; dx,
+    # not x, keeps it on the uniform-spacing path
     if np.iscomplexobj(y):
-        return (cumulative_simpson(y.real, x=x, initial=0.0)
-                + 1j * cumulative_simpson(y.imag, x=x, initial=0.0))
-    return cumulative_simpson(y, x=x, initial=0.0)
+        return (cumulative_simpson(y.real, dx=dx, initial=0.0)
+                + 1j * cumulative_simpson(y.imag, dx=dx, initial=0.0))
+    return cumulative_simpson(y, dx=dx, initial=0.0)
 
 
 def _simpson_weights(n, h):
@@ -355,6 +438,16 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     outer Gauss-Legendre radial mode quadrature, angular factor analytic.
     No per-mode factorization identities or closed forms are used, so this
     is independent of every other evaluator in the module.
+
+    Y_AB and xi_AB decay only like 1/E in the radial variable: at large E
+    the time-ordered double integral tends to -2i sigma sqrt(pi)
+    e^{-sigma^2 dE^2} / E (the u = tA - tB' integral of e^{-i E |u|}
+    against the window gives -2i/E times its value at u = 0, and the
+    v-integral gives 2 sigma sqrt(pi) e^{-sigma^2 dE^2}).  With E -> p c
+    beyond p_max, the part the cut-off drops is derived from that limit in
+    closed form, -2i sigma sqrt(pi) e^{-sigma^2 dE^2} / (4 pi^2 c^2 d)
+    (pi/2 - Si(p_max d)), and added.  At d = 0 the tail does not converge
+    (Y_AB diverges there) and nothing is added.
 
     Returns (value, error_estimate); the estimate is the change under
     halving both node counts.
@@ -397,8 +490,15 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     wt = _simpson_weights(n_time, h)
     chi = np.exp(-(tau**2) / (2.0 * sigma * sigma))
 
+    tail = 0.0
+    if entry in ("Y_AB", "xi_AB") and d > 0:
+        si, _ = sici(p_max * d)
+        tail = (-2j * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
+                / (4.0 * math.pi**2 * c * c * d) * (0.5 * math.pi - float(si)))
+
     def run(p_e_m_a, tau, wt, chi):
         p_sel, e_sel, m_sel, a_sel = p_e_m_a
+        dt = tau[1] - tau[0]
         total = 0.0 + 0.0j
         chunk = 48
         for i0 in range(0, len(p_sel), chunk):
@@ -416,15 +516,15 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
                 i2 = 0.0 + 0.0j * m
                 for b in (+1, -1):
                     w_ = de + b * e
-                    inner = _cumsimp(chi * np.exp(-1j * w_ * tau), tau)
+                    inner = _cumsimp(chi * np.exp(-1j * w_ * tau), dt)
                     outer = (wt * chi) * np.exp(1j * w_ * tau) * inner
                     i2 = i2 + outer.sum(axis=1)
             else:  # Y_AB / xi_AB: e^{-i s dE (tA + tB')} G_F-ordered kernel
                 s = -1.0 if entry == "Y_AB" else +1.0
                 ghost = chi * np.exp(1j * (s * de + e) * tau)
-                c_lower = _cumsimp(ghost, tau)
+                c_lower = _cumsimp(ghost, dt)
                 g2 = chi * np.exp(1j * (s * de - e) * tau)
-                cum2 = _cumsimp(g2, tau)
+                cum2 = _cumsimp(g2, dt)
                 c_upper = cum2[:, -1:] - cum2
                 outer = (wt * chi) * (
                     np.exp(1j * (s * de - e) * tau) * c_lower
@@ -435,7 +535,7 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
                 entry in _SEPARABLE and _SEPARABLE[entry][2])
             w_meas = m * (a if with_sinc else 1.0)
             total += (w_meas * i2).sum()
-        return total / (4.0 * math.pi**2)
+        return total / (4.0 * math.pi**2) + tail
 
     full = (p_nodes, e_nodes, measure, ang)
     value = run(full, tau, wt, chi)

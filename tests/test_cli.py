@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import udleak
 from udleak.cli import (CSV_HEADER, CliError, main, parse_args, run_plan)
 
 
@@ -236,13 +241,14 @@ def test_bad_value_exits_1_with_one_line(capsys, extra, named):
 
 
 CHECK_FAILURES = [
-    # the trace is 1 + 1.3e-8: the coupling squared times the quadrature error
+    # the trace is 1 + 1.5e-8: the coupling squared times the amount by
+    # which the regulated d = 0 Y_AB misses the trace identity
     (["--mode", "gaussian", "--sigma", "1", "--coupling-a", "0.5",
-      "--coupling-b", "0.5", "--distance", "0.5"], "coupling_a=0.5"),
+      "--coupling-b", "0.5", "--distance", "0"], "coupling_a=0.5"),
     (["--coupling-a", "1e150", "--coupling-b", "0"], "coupling_a=1e+150"),
     # only the second point of the sweep fails
     (["--mode", "gaussian", "--sigma", "1", "--coupling-b", "0.5",
-      "--distance", "0.5", "--sweep", "coupling_a=0.1:0.5:2"], "coupling_a=0.5"),
+      "--distance", "0", "--sweep", "coupling_a=0.1:0.5:2"], "coupling_a=0.5"),
     # Y_AB comes out NaN, and so does the density matrix
     (["--mode", "gaussian", "--sigma", "1", "--mass", "1e150"], "mass=1e+150"),
 ]
@@ -293,6 +299,44 @@ def test_warning_names_the_sweep_point(capsys):
     assert len(lines) == 1
     assert "warning: perturbative indicator" in lines[0]
     assert lines[0].endswith(" at coupling_a=2.0")
+
+
+def _run_process(argv):
+    """udleak in a child process, so that its warnings reach stderr as a
+    user sees them and a crash fails one test instead of the whole run."""
+    src = str(pathlib.Path(udleak.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "udleak.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("extra, code", [
+    # mu K_1(mu w) underflows everywhere off the light cone, so the Y_AB
+    # remainder cannot converge; no NaN may reach quad on the way
+    (["--mass", "1e150"], 2),
+    # the radial quadrature hits round-off and warns before it fails
+    (["--c-light", "1e-300"], 2),
+], ids=["huge-mass", "tiny-c"])
+def test_failing_gaussian_point_prints_one_line(extra, code):
+    proc = _run_process(["--mode", "gaussian", "--sigma", "1",
+                         "--distance", "0.5", *extra])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("udleak:"), proc.stderr
+
+
+def test_scipy_warning_is_one_line_naming_the_point(capsys):
+    # the regulated d = 0 Y_AB warns at a very wide window, and still passes
+    code = main(["--mode", "gaussian", "--sigma", "1", "--distance", "0",
+                 "--sweep", "sigma=300:300:1"])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("udleak: warning: The integral is probably divergent, "
+                        "or slowly convergent. at sigma=300.0")
+    assert all(line.startswith("udleak: warning: ") for line in lines)
 
 
 # each kind of RunPlan field: config lines, the same settings as flags, and

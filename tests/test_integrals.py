@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from udleak.integrals import (IntegralSet, NotDistributional,
                               QuadratureNonConvergence, QuadratureSettings,
@@ -11,6 +12,7 @@ from udleak.integrals import (IntegralSet, NotDistributional,
 from udleak.model import (ETERNAL, GAUSSIAN, DetectorPairConfig, FieldSpec,
                           SwitchingSpec, UnitSystem, bell_state,
                           validate_config)
+from udleak.wightman import PositionKernel, wightman_position
 
 
 def _scenario(de=1.0, mass=0.0, d=0.5, kind=ETERNAL, sigma=None, c=1.0,
@@ -105,13 +107,14 @@ def test_gaussian_all_entries_finite_positive():
 
 
 def test_gaussian_trace_identity():
-    # Re(Y) + Re(xi) = P'_AB + Pbar'_AB, the trace-preservation condition
-    for mass, d in ((0.0, 0.5), (0.5, 1.0)):
+    # Re(Y) + Re(xi) = P'_AB + Pbar'_AB, the trace-preservation condition;
+    # at d > 0 Y_AB carries no regulator, so it holds up to rounding
+    for mass, d in ((0.0, 0.5), (0.5, 1.0), (0.0, 2.0), (0.9, 1.0)):
         e = gaussian_integral_set(
             _scenario(kind=GAUSSIAN, sigma=2.0, mass=mass, d=d)).entries()
         lhs = (e["Y_AB"].coeff + np.conj(e["xi_AB"].coeff)).real
         rhs = (e["P'_AB"].coeff + e["Pbar'_AB"].coeff).real
-        assert abs(lhs - rhs) < 1e-7
+        assert abs(lhs - rhs) < 1e-13
 
 
 def test_gaussian_rem_identity_consistency():
@@ -148,6 +151,62 @@ def test_gaussian_feynman_term_regulator_stable():
     a = gaussian_integral_set(sc, QuadratureSettings(eps_list=(4e-3, 2e-3)))
     b = gaussian_integral_set(sc, QuadratureSettings(eps_list=(1e-3, 5e-4)))
     assert abs(a.entries()["Y_AB"].coeff - b.entries()["Y_AB"].coeff) < 1e-7
+
+
+def _v_factor(sc):
+    sigma, de = sc.switching.sigma, sc.pair.delta_e
+    return 2.0 * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
+
+
+@pytest.mark.parametrize("c", (1.0, 2.0))
+@pytest.mark.parametrize("sigma", (1.0, 2.0))
+@pytest.mark.parametrize("d", (0.1, 0.5, 2.0))
+def test_massless_cross_term_matches_cauchy_principal_value(d, sigma, c):
+    # u0 = 2/(4 pi^2 c^3) [PV int_0^inf e^{-u^2/4s^2}/(x^2 - u^2) du
+    #                      - i pi e^{-x^2/4s^2}/(2x)],  x = d/c
+    sc = _scenario(kind=GAUSSIAN, sigma=sigma, mass=0.0, d=d, c=c)
+    x = d / c
+    pv, _ = quad(lambda u: -math.exp(-u * u / (4 * sigma**2)) / (u + x),
+                 0.0, 13.0 * sigma, weight="cauchy", wvar=x,
+                 epsabs=1e-15, epsrel=1e-14, limit=200)
+    delta = -math.pi * math.exp(-x * x / (4 * sigma**2)) / (2.0 * x)
+    ref = 0.5 * _v_factor(sc) * 2.0 * complex(pv, delta) / (4 * math.pi**2 * c**3)
+    y = gaussian_integral_set(sc).y_ab
+    assert abs(y.coeff - ref) <= 1e-13 * abs(ref)
+
+
+def _regulated_y(sc, eps):
+    """Y_AB against the i-eps kernel at one regulator, integrated tightly."""
+    sigma, c, d = sc.switching.sigma, sc.units.c, sc.pair.distance
+    kern = PositionKernel(mass=sc.field.mass, c=c, epsilon=eps)
+    x = d / c
+    parts = []
+    for part in ("real", "imag"):
+        val, _ = quad(lambda u: getattr(wightman_position(kern, u, d), part)
+                      * math.exp(-u * u / (4 * sigma**2)),
+                      0.0, 13.0 * sigma, points=[x - 50 * eps, x, x + 50 * eps],
+                      epsabs=1e-14, epsrel=1e-13, limit=2000)
+        parts.append(val)
+    return _v_factor(sc) * complex(*parts)
+
+
+@pytest.mark.parametrize("sigma, mass, d, de", [
+    (2.0, 0.5, 0.5, 1.0), (1.0, 0.3, 1.0, 1.0), (1.5, 0.9, 2.0, 1.0),
+    (1.0, 0.3, 0.5, 1.0),
+])
+def test_massive_cross_term_matches_richardson_regulated_reference(sigma, mass, d, de):
+    # quadratic Richardson in eps over eps, 2 eps, 4 eps
+    sc = _scenario(kind=GAUSSIAN, sigma=sigma, mass=mass, d=d, de=de)
+    f1, f2, f4 = (_regulated_y(sc, eps) for eps in (1e-4, 2e-4, 4e-4))
+    ref = (8.0 * f1 - 6.0 * f2 + f4) / 3.0
+    assert abs(gaussian_integral_set(sc).y_ab.coeff - ref) < 1e-10
+
+
+def test_cross_term_nonconvergence_names_y_ab():
+    # mu K_1(mu w) underflows off the cone: the remainder diverges there
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=1e150, d=0.5)
+    with pytest.raises(QuadratureNonConvergence, match="entry Y_AB"):
+        gaussian_integral_set(sc)
 
 
 def test_gaussian_nonconvergence_names_entry():
@@ -196,6 +255,17 @@ def test_oracle_y_real_part_matches_trace_identity():
     xi, _ = oracle_quadrature("xi_AB", sc, window=14.0, p_max=8.0,
                               epsilon=1e-4, _estimate_error=False)
     assert abs(xi - val) < 1e-8
+
+
+@pytest.mark.parametrize("sigma, mass, d", [(1.5, 0.0, 0.5), (1.0, 0.5, 1.0),
+                                            (1.0, 0.3, 0.5)])
+def test_oracle_y_matches_production(sigma, mass, d):
+    # the oracle's analytic radial tail beyond p_max makes this converge
+    sc = _scenario(kind=GAUSSIAN, sigma=sigma, mass=mass, d=d)
+    e = gaussian_integral_set(sc).entries()
+    val, _ = oracle_quadrature("Y_AB", sc, window=7.0 * sigma, p_max=32.0,
+                               epsilon=1e-6, _estimate_error=False)
+    assert abs(val - e["Y_AB"].coeff) < 1e-5 * e["P''_A"].coeff.real
 
 
 def test_oracle_rejects_unknown_entry_and_eternal():
