@@ -7,7 +7,10 @@ a typed operation instead of arithmetic on a large float.
 Gaussian switching: every double time integral of a non-time-ordered
 entry factorizes mode by mode into products of switching-window Fourier
 transforms, leaving a single smooth radial momentum quadrature (angular
-part analytic, sinc(p d) where a phase exp(+-i p.d) appears).  The
+part analytic, sinc(p d) where a phase exp(+-i p.d) appears).  The six
+such entries share one composite Gauss-Legendre rule whose panel edges
+hold the window peaks; each error estimate is the change from the rule
+with half the nodes.  The
 time-ordered cross term Y_AB (= xi_AB) is a Gaussian-weighted integral of
 the position-space kernel along u = tA - tB'.  At d > 0 it needs no
 regulator: massless, it is closed (a Dawson-function principal value plus
@@ -25,11 +28,11 @@ oracle for everything else.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
 from scipy.special import dawsn, j1, kv, sici, y1
 
 from .model import ETERNAL, GAUSSIAN, ValidatedScenario
@@ -148,6 +151,13 @@ class QuadratureSettings:
         return p_max
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: eternal runs and
+    massless Gaussian points at d > 0 never load scipy.integrate."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
 def threshold_momentum(scenario):
     """On-shell radial momentum sqrt(dE^2 - m^2 c^4)/c, or 0 below threshold."""
     de = scenario.pair.delta_e
@@ -189,22 +199,67 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
                        y_ab=zero)
 
 
-def _radial_quadrature(scenario, weight, p_max, tol, with_sinc, points=None):
-    """1/(4 pi^2) int_0^pmax dp p^2/E [sinc(p d)] weight(E)."""
+@functools.cache
+def _legendre(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+RADIAL_ENTRIES = ("P", "P''", "Pbar", "P*_AB", "X_AB", "P'_AB")
+
+
+def _radial_entries(scenario, p_max, tol):
+    """The six radial entries 1/(4 pi^2) int_0^pmax dp p^2/E [sinc(p d)] w(E),
+    w one of chi(E + dE)^2, chi(E - dE)^2, chi(E - dE) chi(E + dE), in
+    RADIAL_ENTRIES order, with their error estimates.
+
+    Composite Gauss-Legendre on panels whose edges hold every peak of the
+    weights: the shell q, q +- 10/(sigma c) and 10/(sigma c), where a
+    squared window has fallen by e^-100.  The estimate is the change from
+    the half-size rule; the node count doubles, up to 2^14 per panel,
+    until it passes the gate.
+    """
+    sw = scenario.switching
     c = scenario.units.c
     mc2 = scenario.field.mass * c**2
+    de = scenario.pair.delta_e
     d = scenario.pair.distance
+    q = threshold_momentum(scenario)
+    width = 10.0 / (sw.sigma * c)
+    edges = np.unique([0.0, p_max] + [e for e in (q, q - width, q + width, width)
+                                      if 0.0 < e < p_max])
 
-    def f(p):
-        e = math.sqrt((p * c) ** 2 + mc2 * mc2)
-        val = (p * p / e) * weight(e)
-        if with_sinc and d > 0:
-            val *= math.sin(p * d) / (p * d) if p > 0 else 1.0
-        return val
+    def rule(parts, n):
+        # each panel cut into `parts` equal pieces, n nodes on each
+        t = np.arange(parts) / parts
+        cuts = np.append((edges[:-1, None] + np.diff(edges)[:, None] * t).ravel(), p_max)
+        mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+        x, w = _legendre(n)
+        p = (mid[:, None] + half[:, None] * x).ravel()
+        e = np.sqrt((p * c) ** 2 + mc2 * mc2)
+        plus = switching_fourier(sw, e + de)
+        minus = switching_fourier(sw, e - de)
+        f = np.array([plus * plus, minus * minus, plus * minus]) * (p * p / e)
+        wp = (half[:, None] * w).ravel()
+        return np.concatenate([f @ wp, f @ (wp * _sinc(p * d))]) / (4.0 * math.pi**2)
 
-    val, err = quad(f, 0.0, p_max, epsabs=tol, epsrel=1e-12,
-                    limit=400, points=points)
-    return val / (4.0 * math.pi**2), err / (4.0 * math.pi**2)
+    # leggauss(n) solves a dense n x n eigenproblem, so a finer rule cuts
+    # the panels instead of raising n past 256
+    coarse, parts = rule(1, 128), 1
+    while True:
+        val = rule(parts, 256)
+        if not np.isfinite(val).all():
+            k = int(np.argmin(np.isfinite(val)))
+            raise OverflowError(f"{RADIAL_ENTRIES[k]} = {val[k]} is not finite")
+        err = np.abs(val - coarse)
+        failing = ~(err <= np.maximum(tol, 1e-14 * np.abs(val)))
+        if not failing.any():
+            return val, err
+        if parts >= 64:
+            worst = int(np.argmax(np.where(failing, err, -1.0)))
+            raise QuadratureNonConvergence(
+                f"entry {RADIAL_ENTRIES[worst]} error estimate {err[worst]:.3e} "
+                f"exceeds tol {tol:.3e}")
+        coarse, parts = val, 2 * parts
 
 
 def _regulated_cross_term(scenario, settings, v_factor):
@@ -343,44 +398,10 @@ def gaussian_integral_set(scenario: ValidatedScenario,
     if scenario.switching.kind != GAUSSIAN:
         raise ValueError("gaussian_integral_set requires gaussian switching")
     settings = settings or QuadratureSettings()
-    sw = scenario.switching
-    de = scenario.pair.delta_e
-    p_max = settings.resolved_p_max(scenario)
-    tol = settings.tol
-    q_shell = threshold_momentum(scenario)
-    pts = [q_shell] if 0.0 < q_shell < p_max else None
-
-    def chi_hat(omega):
-        return switching_fourier(sw, omega)
-
-    weights = {
-        "plus2": lambda e: chi_hat(e + de) ** 2,
-        "minus2": lambda e: chi_hat(e - de) ** 2,
-        "cross": lambda e: chi_hat(e - de) * chi_hat(e + de),
-    }
-
-    results = {}
-    failures = {}
-    for name, (wkey, with_sinc) in {
-        "P": ("plus2", False),
-        "P''": ("minus2", False),
-        "Pbar": ("cross", False),
-        "P*_AB": ("plus2", True),
-        "P'_AB": ("cross", True),
-        "X_AB": ("minus2", True),
-    }.items():
-        val, err = _radial_quadrature(scenario, weights[wkey], p_max, tol,
-                                      with_sinc, points=pts)
-        if err > max(tol, 1e-14 * abs(val)):
-            failures[name] = err
-        results[name] = RegulatedValue(complex(val), 0, err)
-
-    if failures:
-        worst = max(failures, key=failures.get)
-        raise QuadratureNonConvergence(
-            f"entry {worst} error estimate {failures[worst]:.3e} exceeds tol {tol:.3e}"
-        )
-
+    val, err = _radial_entries(scenario, settings.resolved_p_max(scenario),
+                               settings.tol)
+    results = {name: RegulatedValue(complex(v), 0, float(e))
+               for name, v, e in zip(RADIAL_ENTRIES, val, err)}
     p = results["P"]
     p_dd = results["P''"]
     m_re = RegulatedValue(0.5 * (p.coeff + p_dd.coeff), 0,
@@ -414,6 +435,7 @@ ORACLE_ENTRIES = tuple(_SEPARABLE) + ("M", "Y_AB", "xi_AB")
 def _cumsimp(y, dx):
     # scipy's cumulative_simpson silently casts complex input to real; dx,
     # not x, keeps it on the uniform-spacing path
+    from scipy.integrate import cumulative_simpson
     if np.iscomplexobj(y):
         return (cumulative_simpson(y.real, dx=dx, initial=0.0)
                 + 1j * cumulative_simpson(y.imag, dx=dx, initial=0.0))

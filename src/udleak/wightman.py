@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import kv
 
 from .model import GAUSSIAN, SwitchingSpec
@@ -93,6 +92,7 @@ def wightman_mode_sum(kernel, dt, r, p_max=None, tol=1e-10):
     with k the energy-like variable k = p c.  The e^{-eps E} factor makes
     the tail integrable; p_max defaults to a multiple of 1/eps.
     """
+    from scipy.integrate import quad
     eps = kernel.epsilon
     if eps < EPSILON_FLOOR:
         raise RegulatorTooSmall(f"epsilon = {eps} below floor {EPSILON_FLOOR}")

@@ -304,10 +304,14 @@ def test_warning_names_the_sweep_point(capsys):
 def _run_process(argv):
     """udleak in a child process, so that its warnings reach stderr as a
     user sees them and a crash fails one test instead of the whole run."""
+    return _run_python(["-m", "udleak.cli", *argv])
+
+
+def _run_python(args):
     src = str(pathlib.Path(udleak.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    return subprocess.run([sys.executable, "-m", "udleak.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -315,8 +319,8 @@ def _run_process(argv):
     # mu K_1(mu w) underflows everywhere off the light cone, so the Y_AB
     # remainder cannot converge; no NaN may reach quad on the way
     (["--mass", "1e150"], 2),
-    # the radial quadrature hits round-off and warns before it fails
-    (["--c-light", "1e-300"], 2),
+    # P scales as 1/c^3 and really overflows
+    (["--c-light", "1e-300"], 1),
 ], ids=["huge-mass", "tiny-c"])
 def test_failing_gaussian_point_prints_one_line(extra, code):
     proc = _run_process(["--mode", "gaussian", "--sigma", "1",
@@ -326,6 +330,20 @@ def test_failing_gaussian_point_prints_one_line(extra, code):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("udleak:"), proc.stderr
+
+
+def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():
+    # scipy.integrate is most of the import time, and these need no quad
+    script = ("import contextlib, io, sys\n"
+              "from udleak.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['--mode', 'eternal']) == 0\n"
+              "    assert main(['--mode', 'gaussian', '--sigma', '1',\n"
+              "                 '--distance', '0.5']) == 0\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_scipy_warning_is_one_line_naming_the_point(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from udleak import integrals
 from udleak.integrals import (IntegralSet, NotDistributional,
                               QuadratureNonConvergence, QuadratureSettings,
                               RegulatedValue, eternal_integral_set,
@@ -210,9 +211,66 @@ def test_cross_term_nonconvergence_names_y_ab():
 
 
 def test_gaussian_nonconvergence_names_entry():
+    # sinc(p d) turns over ~16,000 times below p_max: no rule resolves it
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, d=1e4)
+    with pytest.raises(QuadratureNonConvergence, match="entry X_AB"):
+        gaussian_integral_set(sc)
+
+
+def test_gaussian_tiny_tol_meets_relative_floor():
+    # tol below rounding: the 1e-14 relative floor of the gate takes over
     sc = _scenario(kind=GAUSSIAN, sigma=1.0)
-    with pytest.raises(QuadratureNonConvergence, match="entry"):
-        gaussian_integral_set(sc, QuadratureSettings(tol=1e-300))
+    tiny = gaussian_integral_set(sc, QuadratureSettings(tol=1e-300)).entries()
+    for name, v in gaussian_integral_set(sc).entries().items():
+        assert abs(tiny[name].coeff - v.coeff) <= 1e-14 * abs(v.coeff), name
+
+
+@pytest.fixture
+def no_cross_term(monkeypatch):
+    """Y_AB stubbed to zero, so a test sees the radial entries alone."""
+    monkeypatch.setattr(integrals, "_feynman_cross_term",
+                        lambda scenario, settings: RegulatedValue(0j))
+
+
+@pytest.mark.parametrize("mass", (0.0, 0.5))
+@pytest.mark.parametrize("sigma", (200.0, 1000.0))
+def test_gaussian_tends_to_eternal(no_cross_term, sigma, mass):
+    # a Gaussian window of width sigma has int chi^2 dt = sigma sqrt(pi) in
+    # place of the eternal delta(0) factor; the peak is 1/sigma wide
+    e = eternal_integral_set(_scenario(mass=mass, d=0.5)).entries()
+    g = gaussian_integral_set(_scenario(kind=GAUSSIAN, sigma=sigma, mass=mass,
+                                        d=0.5)).entries()
+    for name in ("P''_A", "X_AB"):
+        got = g[name].coeff.real * math.sqrt(math.pi) / sigma
+        assert got == pytest.approx(e[name].coeff.real, rel=1e-5), name
+
+
+def _gaussian_integral(a, sigma, p_max):
+    """int_0^p_max p exp(-sigma^2 (p - a)^2) dp, for either sign of a."""
+    s = sigma
+    ends = math.exp(-(s * a) ** 2) - math.exp(-(s * (p_max - a)) ** 2)
+    # erf(s (p_max - a)) + erf(s a) as an erfc difference: at a < 0 the two
+    # erf values are both near 1 and would cancel
+    span = math.erfc(-s * a) - math.erfc(s * (p_max - a))
+    return ends / (2 * s * s) + a * math.sqrt(math.pi) / (2 * s) * span
+
+
+@pytest.mark.parametrize("de", (0.3, 1.0, 3.0, 10.0))
+@pytest.mark.parametrize("sigma", (0.3, 1.0, 4.0, 64.0, 200.0, 1000.0))
+def test_gaussian_massless_coincident_closed_forms(no_cross_term, sigma, de):
+    # at m = 0, d = 0 the radial entries are Gaussian moments in p = E
+    sc = _scenario(de=de, kind=GAUSSIAN, sigma=sigma, d=0.0)
+    p_max = QuadratureSettings().resolved_p_max(sc)
+    k = sigma**2 / (2 * math.pi)
+    p_dd = k * _gaussian_integral(de, sigma, p_max)
+    p = k * _gaussian_integral(-de, sigma, p_max)
+    p_bar = (math.exp(-(sigma * de) ** 2)
+             * -math.expm1(-(sigma * p_max) ** 2) / (4 * math.pi))
+    e = gaussian_integral_set(sc).entries()
+    for ref, names in ((p, ("P_A", "P*_AB")), (p_dd, ("P''_A", "X_AB")),
+                       (p_bar, ("Pbar_A", "P'_AB"))):
+        for name in names:
+            assert abs(e[name].coeff - ref) <= 1e-12 * max(1.0, abs(ref)), name
 
 
 def test_gaussian_rejects_eternal_scenario():
