@@ -10,15 +10,16 @@ transforms, leaving a single smooth radial momentum quadrature (angular
 part analytic, sinc(p d) where a phase exp(+-i p.d) appears).  The six
 such entries share one composite Gauss-Legendre rule whose panel edges
 hold the window peaks; each error estimate is the change from the rule
-with half the nodes.  The
-time-ordered cross term Y_AB (= xi_AB) is a Gaussian-weighted integral of
-the position-space kernel along u = tA - tB'.  At d > 0 it needs no
-regulator: massless, it is closed (a Dawson-function principal value plus
-the light-cone delta); massive, the massless kernel is subtracted and the
-log-singular remainder is integrated at eps = 0.  At d = 0 Y_AB is
-UV-divergent, and the kernel is integrated with the regulator in place
-and extrapolated to eps -> 0 from QuadratureSettings.eps_list (the CLI's
---epsilon); that number depends on the regulator, a known defect.
+with half the nodes.  Two real parts follow from identities of a real
+even window rather than from their ordered integrals: Re M = (P + P'')/2
+and, from trace preservation, Re Y_AB = P'_AB.  The imaginary part of
+the time-ordered cross term Y_AB (= xi_AB) is a Gaussian-weighted
+integral of the position-space kernel along u = tA - tB'.  At d > 0 it
+needs no regulator: massless, it is the light-cone delta alone; massive,
+the remainder past the cone is smooth and is integrated at eps = 0.  At
+d = 0 Y_AB is UV-divergent, and Im G is integrated with the regulator in
+place and extrapolated to eps -> 0 from QuadratureSettings.eps_list (the
+CLI's --epsilon); that number depends on the regulator, a known defect.
 
 A brute-force evaluator of the raw definitions (nested time x time x
 radial-mode quadrature, no factorization) is provided as the independent
@@ -27,13 +28,12 @@ oracle for everything else.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, j1, kv, sici, y1
+from scipy.special import j1, sici
 
 from .model import ETERNAL, GAUSSIAN, ValidatedScenario
 from .wightman import PositionKernel, switching_fourier, wightman_position
@@ -262,32 +262,35 @@ def _radial_entries(scenario, p_max, tol):
         coarse, parts = val, 2 * parts
 
 
-def _regulated_cross_term(scenario, settings, v_factor):
-    """Y_AB at d = 0: the u-quadrature of the time-ordered kernel G(|u|, 0)
-    with the regulator eps in place, linearly extrapolated to eps -> 0.
+def _finite(val, u):
+    # a NaN handed back to quad can crash it, so stop here instead
+    if not math.isfinite(val):
+        raise QuadratureNonConvergence(f"entry Y_AB integrand is {val} at u = {u!r}")
+    return val
+
+
+def _regulated_cross_term_im(scenario, settings, v_factor):
+    """Im Y_AB at d = 0: the u-quadrature of Im G(|u|, 0), the time-ordered
+    kernel with the regulator eps in place, linearly extrapolated to
+    eps -> 0.  Returns (value, error estimate).
 
     Y_AB is UV-divergent at coincidence, so this number depends on the
     regulator pair (settings.eps_list); it is kept as a known defect.
     """
     sigma = scenario.switching.sigma
     c = scenario.units.c
-    d = scenario.pair.distance
     tol = settings.tol
     u_max = 13.0 * sigma
 
     def u_integral(eps):
         kern = PositionKernel(mass=scenario.field.mass, c=c, epsilon=eps)
 
-        def f(u, part):
-            g = wightman_position(kern, u, d)
+        def f(u):
             w = math.exp(-(u * u) / (4.0 * sigma * sigma))
-            return w * (g.real if part == 0 else g.imag)
+            return _finite(w * wightman_position(kern, u, 0.0).imag, u)
 
-        re, ere = quad(f, 0.0, u_max, args=(0,), epsabs=tol, epsrel=1e-12,
-                       limit=800)
-        im, eim = quad(f, 0.0, u_max, args=(1,), epsabs=tol, epsrel=1e-12,
-                       limit=800)
-        return 2.0 * (re + 1j * im), 2.0 * (ere + eim)
+        im, eim = quad(f, 0.0, u_max, epsabs=tol, epsrel=1e-12, limit=800)
+        return 2.0 * im, 2.0 * eim
 
     eps_hi, eps_lo = sorted(settings.eps_list, reverse=True)[:2]
     # smaller regulator first: a huge one overflows before 2 eps is tried as inf
@@ -297,29 +300,24 @@ def _regulated_cross_term(scenario, settings, v_factor):
     w = eps_hi / (eps_hi - eps_lo)
     u0 = w * u_lo - (w - 1.0) * u_hi
     extrap_err = abs(u_lo - u_hi)
-
-    coeff = 0.5 * v_factor * u0
-    err = 0.5 * v_factor * (err_hi + err_lo + extrap_err)
-    return RegulatedValue(coeff, 0, err)
+    return 0.5 * v_factor * u0, 0.5 * v_factor * (err_hi + err_lo + extrap_err)
 
 
-def _feynman_cross_term(scenario, settings):
-    """Y_AB for Gaussian switching via the position-space kernel.
+def _feynman_cross_term_im(scenario, settings):
+    """Im Y_AB for Gaussian switching via the position-space kernel, with
+    its error estimate; Re Y_AB = P'_AB (see gaussian_integral_set).
 
     In rotated coordinates u = tA - tB', v = tA + tB' the double integral
     splits exactly: a Gaussian v-integral v_factor (analytic) times
     u0 = 2 int_0^inf du e^{-u^2/4 sigma^2} G(u, d), with G the time-ordered
     kernel at eps -> 0, singular on the light cone u = x = d/c.
 
-    Massless, u0 is closed: the cone pole 1/(x^2 - u^2) gives a principal
-    value (the Hilbert transform of a Gaussian, a Dawson function) plus
-    -i pi delta(u - x)/(2x).  Massive, u0 is that closed part plus the
-    remainder 2 int e^{-u^2/4 sigma^2} (G_m - G_0) du, which is only
-    log-singular on the cone and is integrated at eps = 0: inside the cone
-    w = sqrt(x^2 - u^2) and the real K_1 applies; past it w = i y and
-    K_1(i z) = -(pi/2) (J_1(z) - i Y_1(z)).  Only the real part is singular;
-    the imaginary part lives past the cone and is smooth there.  At d = 0
-    the integral diverges and the regulated route is kept instead.
+    Massless, Im u0 is closed: the cone pole 1/(x^2 - u^2) contributes
+    -i pi delta(u - x)/(2x), the light-cone delta.  Massive, Im u0 adds
+    the remainder 2 int e^{-u^2/4 sigma^2} Im (G_m - G_0) du, which lives
+    past the cone only (w = i y there, and Im mu K_1(i mu y)/(i y) =
+    (pi/2) mu J_1(mu y)/y) and is smooth, so it is integrated at eps = 0.
+    At d = 0 the integral diverges and the regulated route is kept instead.
     """
     sigma = scenario.switching.sigma
     de = scenario.pair.delta_e
@@ -330,13 +328,12 @@ def _feynman_cross_term(scenario, settings):
     # int dv exp(-v^2/4s^2 - i dE v) -- even in dE, so xi_AB = Y_AB(-dE) = Y_AB
     v_factor = 2.0 * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
     if d == 0.0:
-        return _regulated_cross_term(scenario, settings, v_factor)
+        return _regulated_cross_term_im(scenario, settings, v_factor)
 
     x = d / c
     k = 1.0 / (4.0 * math.pi**2 * c**3)         # G = k / w^2 when massless
     s2 = 4.0 * sigma * sigma
-    u0 = 2.0 * k * complex(math.sqrt(math.pi) * float(dawsn(x / (2.0 * sigma))) / x,
-                           -math.pi * math.exp(-x * x / s2) / (2.0 * x))
+    u0 = 2.0 * k * (-math.pi * math.exp(-x * x / s2) / (2.0 * x))
     err = 0.0
 
     mu = scenario.field.mass * c**2
@@ -344,56 +341,41 @@ def _feynman_cross_term(scenario, settings):
         u_max = x + 13.0 * sigma
         half_pi_mu = 0.5 * math.pi * mu
 
-        def finite(val, u):
-            # a NaN handed back to quad can crash it, so stop here instead
-            if not math.isfinite(val):
-                raise QuadratureNonConvergence(
-                    f"entry Y_AB integrand is {val} at u = {u!r}")
-            return val
-
-        def re_part(u):
-            w2 = (x - u) * (x + u)
-            if w2 > 0.0:
-                w = math.sqrt(w2)
-                g = mu * kv(1, mu * w) / w
-            else:
-                y = math.sqrt(-w2)
-                g = half_pi_mu * y1(mu * y) / y
-            return finite(k * math.exp(-u * u / s2) * (g - 1.0 / w2), u)
-
-        def im_part(u):
+        def integrand(u):
             y = math.sqrt((u - x) * (u + x))
-            return finite(k * math.exp(-u * u / s2) * half_pi_mu * j1(mu * y) / y, u)
+            return _finite(k * math.exp(-u * u / s2) * half_pi_mu * j1(mu * y) / y, u)
 
-        # each part's error, times v_factor, targets tol in the coefficient;
-        # never looser than tol, since a loose target (tiny v_factor) lets
-        # quad's extrapolation stop early with a spurious "divergent" warning
+        # the error, times v_factor, targets tol in the coefficient; never
+        # looser than tol, since a loose target (tiny v_factor) lets quad's
+        # extrapolation stop early with a spurious "divergent" warning
         epsabs = tol / max(1.0, 2.0 * v_factor)
         # past the cone the kernel oscillates at frequency mu, about
         # 2 mu sigma periods under the Gaussian: room for a few thousand
-        re, ere = quad(re_part, 0.0, u_max, epsabs=epsabs, epsrel=1e-12,
-                       limit=2000, points=[x])
-        im, eim = quad(im_part, x, u_max, epsabs=epsabs, epsrel=1e-12, limit=2000)
-        u0 += 2.0 * complex(re, im)
-        err = v_factor * (ere + eim)
+        rem, rem_err = quad(integrand, x, u_max, epsabs=epsabs, epsrel=1e-12,
+                            limit=2000)
+        u0 += 2.0 * rem
+        err = v_factor * rem_err
 
-    coeff = 0.5 * v_factor * u0
-    if not cmath.isfinite(coeff):
-        raise OverflowError(f"Y_AB = {coeff} is not finite")
-    if not err <= max(tol, 1e-14 * abs(coeff)):
+    im = 0.5 * v_factor * u0
+    if not math.isfinite(im):
+        raise OverflowError(f"Im Y_AB = {im} is not finite")
+    if not err <= max(tol, 1e-14 * abs(im)):
         raise QuadratureNonConvergence(
             f"entry Y_AB error estimate {err:.3e} exceeds tol {tol:.3e}")
-    return RegulatedValue(coeff, 0, err)
+    return im, err
 
 
 def gaussian_integral_set(scenario: ValidatedScenario,
                           settings: QuadratureSettings | None = None) -> IntegralSet:
     """All eleven entries at finite Gaussian width: everything is finite.
 
-    Re M is obtained from the identity Re M = (P + P'')/2, valid for a
-    real even window (the theta function drops out of the symmetrized
-    anti-commutator integrand); the defining ordered integral is covered
-    by oracle_quadrature.
+    Two real parts come from identities valid for a real even window
+    instead of their defining ordered integrals, which oracle_quadrature
+    covers: Re M = (P + P'')/2 (the theta function drops out of the
+    symmetrized anti-commutator integrand), and Re Y_AB = P'_AB, the
+    condition Re Y_AB + Re xi_AB = P'_AB + Pbar'_AB for the evolved
+    density matrix to keep trace 1, with xi_AB = Y_AB and
+    Pbar'_AB = P'_AB.  Only Im Y_AB is integrated.
     """
     if scenario.switching.kind != GAUSSIAN:
         raise ValueError("gaussian_integral_set requires gaussian switching")
@@ -404,12 +386,14 @@ def gaussian_integral_set(scenario: ValidatedScenario,
                for name, v, e in zip(RADIAL_ENTRIES, val, err)}
     p = results["P"]
     p_dd = results["P''"]
+    p_ab = results["P'_AB"]
     m_re = RegulatedValue(0.5 * (p.coeff + p_dd.coeff), 0,
                           0.5 * (p.err + p_dd.err))
+    y_im, y_err = _feynman_cross_term_im(scenario, settings)
+    y_ab = RegulatedValue(complex(p_ab.coeff.real, y_im), 0, p_ab.err + y_err)
     return IntegralSet(p=p, p_dd=p_dd, p_bar=results["Pbar"], m_re=m_re,
-                       p_ab_star=results["P*_AB"], p_ab_prime=results["P'_AB"],
-                       x_ab=results["X_AB"],
-                       y_ab=_feynman_cross_term(scenario, settings))
+                       p_ab_star=results["P*_AB"], p_ab_prime=p_ab,
+                       x_ab=results["X_AB"], y_ab=y_ab)
 
 
 # ---------------------------------------------------------------------------

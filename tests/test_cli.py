@@ -241,22 +241,20 @@ def test_bad_value_exits_1_with_one_line(capsys, extra, named):
 
 
 CHECK_FAILURES = [
-    # the trace is 1 + 1.5e-8: the coupling squared times the amount by
-    # which the regulated d = 0 Y_AB misses the trace identity
-    (["--mode", "gaussian", "--sigma", "1", "--coupling-a", "0.5",
-      "--coupling-b", "0.5", "--distance", "0"], "coupling_a=0.5"),
+    # the trace is 2.4e-7 away from 1: the second-order terms, of order the
+    # coupling squared (1e10), cancel in the trace only up to rounding
+    (["--mode", "gaussian", "--sigma", "1", "--coupling-a", "1e5",
+      "--coupling-b", "1e5", "--distance", "0.5"], "coupling_a=100000.0"),
     (["--coupling-a", "1e150", "--coupling-b", "0"], "coupling_a=1e+150"),
     # only the second point of the sweep fails
-    (["--mode", "gaussian", "--sigma", "1", "--coupling-b", "0.5",
-      "--distance", "0", "--sweep", "coupling_a=0.1:0.5:2"], "coupling_a=0.5"),
-    # Y_AB comes out NaN, and so does the density matrix
-    (["--mode", "gaussian", "--sigma", "1", "--mass", "1e150"], "mass=1e+150"),
+    (["--mode", "gaussian", "--sigma", "1", "--coupling-a", "1e5",
+      "--distance", "0.5", "--sweep", "coupling_b=0:1e5:2"],
+     "coupling_b=100000.0"),
 ]
 
 
 @pytest.mark.parametrize("argv, named", CHECK_FAILURES,
-                         ids=["gaussian-trace", "huge-coupling", "sweep-point",
-                              "nan-matrix"])
+                         ids=["gaussian-trace", "huge-coupling", "sweep-point"])
 def test_failed_matrix_check_exits_2_naming_the_point(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -265,6 +263,13 @@ def test_failed_matrix_check_exits_2_naming_the_point(capsys, argv, named):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("udleak: numeric check failed: ")
     assert f"{named}, " in captured.err
+
+
+def test_coincident_gaussian_trace_holds_at_large_coupling(capsys):
+    # Re Y_AB = P'_AB: the trace identity holds at d = 0 as well
+    assert main(["--mode", "gaussian", "--sigma", "1", "--coupling-a", "0.5",
+                 "--coupling-b", "0.5", "--distance", "0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_overflow_names_the_point(capsys):
@@ -316,12 +321,14 @@ def _run_python(args):
 
 
 @pytest.mark.parametrize("extra, code", [
-    # mu K_1(mu w) underflows everywhere off the light cone, so the Y_AB
-    # remainder cannot converge; no NaN may reach quad on the way
+    # J_1(mu y) past the light cone oscillates far too fast for the Y_AB
+    # remainder to converge; no NaN may reach quad on the way
     (["--mass", "1e150"], 2),
+    # at d = 0 the regulated kernel is NaN: the integrand stops it
+    (["--mass", "1e150", "--distance", "0"], 2),
     # P scales as 1/c^3 and really overflows
     (["--c-light", "1e-300"], 1),
-], ids=["huge-mass", "tiny-c"])
+], ids=["huge-mass", "huge-mass-coincident", "tiny-c"])
 def test_failing_gaussian_point_prints_one_line(extra, code):
     proc = _run_process(["--mode", "gaussian", "--sigma", "1",
                          "--distance", "0.5", *extra])
@@ -330,6 +337,8 @@ def test_failing_gaussian_point_prints_one_line(extra, code):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("udleak:"), proc.stderr
+    if code == 2:
+        assert lines[0].startswith("udleak: quadrature non-convergence: entry Y_AB")
 
 
 def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():

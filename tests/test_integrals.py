@@ -109,8 +109,10 @@ def test_gaussian_all_entries_finite_positive():
 
 def test_gaussian_trace_identity():
     # Re(Y) + Re(xi) = P'_AB + Pbar'_AB, the trace-preservation condition;
-    # at d > 0 Y_AB carries no regulator, so it holds up to rounding
-    for mass, d in ((0.0, 0.5), (0.5, 1.0), (0.0, 2.0), (0.9, 1.0)):
+    # it holds up to rounding, at d = 0 as well, where Im Y_AB still
+    # carries the regulator
+    for mass, d in ((0.0, 0.5), (0.5, 1.0), (0.0, 2.0), (0.9, 1.0),
+                    (0.0, 0.0), (0.3, 0.0)):
         e = gaussian_integral_set(
             _scenario(kind=GAUSSIAN, sigma=2.0, mass=mass, d=d)).entries()
         lhs = (e["Y_AB"].coeff + np.conj(e["xi_AB"].coeff)).real
@@ -204,7 +206,8 @@ def test_massive_cross_term_matches_richardson_regulated_reference(sigma, mass, 
 
 
 def test_cross_term_nonconvergence_names_y_ab():
-    # mu K_1(mu w) underflows off the cone: the remainder diverges there
+    # J_1(mu y)/y past the cone: a spike of height ~mu^2 and width ~1/mu,
+    # then oscillations of period 2 pi/mu that no quad partition resolves
     sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=1e150, d=0.5)
     with pytest.raises(QuadratureNonConvergence, match="entry Y_AB"):
         gaussian_integral_set(sc)
@@ -227,9 +230,9 @@ def test_gaussian_tiny_tol_meets_relative_floor():
 
 @pytest.fixture
 def no_cross_term(monkeypatch):
-    """Y_AB stubbed to zero, so a test sees the radial entries alone."""
-    monkeypatch.setattr(integrals, "_feynman_cross_term",
-                        lambda scenario, settings: RegulatedValue(0j))
+    """Im Y_AB stubbed to zero, so a test sees the radial entries alone."""
+    monkeypatch.setattr(integrals, "_feynman_cross_term_im",
+                        lambda scenario, settings: (0.0, 0.0))
 
 
 @pytest.mark.parametrize("mass", (0.0, 0.5))

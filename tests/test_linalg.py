@@ -145,6 +145,17 @@ def test_failed_check_carries_the_worst_index():
     assert info.value.index == 1
 
 
+def test_nan_matrix_fails_hermiticity_with_its_index():
+    # a NaN entry gives a NaN residual, which no tolerance admits, and it is
+    # reported ahead of a finite breach elsewhere in the stack
+    stack = np.stack([np.eye(4, dtype=complex) * 0.25] * 3)
+    stack[1, 0, 3] = np.nan
+    stack[2, 0, 1] = 1e-3
+    with pytest.raises(linalg.NotHermitian, match="nan") as info:
+        linalg.hermitian_eigenvalues(stack)
+    assert info.value.index == 1
+
+
 def test_wootters_clamps_truncation_negatives():
     # tiny negative diagonal from a second-order truncation must not NaN
     m = np.diag([0.6, -1e-13, 0.0, 0.4]).astype(complex)
