@@ -417,13 +417,33 @@ ORACLE_ENTRIES = tuple(_SEPARABLE) + ("M", "Y_AB", "xi_AB")
 
 
 def _cumsimp(y, dx):
-    # scipy's cumulative_simpson silently casts complex input to real; dx,
-    # not x, keeps it on the uniform-spacing path
-    from scipy.integrate import cumulative_simpson
-    if np.iscomplexobj(y):
-        return (cumulative_simpson(y.real, dx=dx, initial=0.0)
-                + 1j * cumulative_simpson(y.imag, dx=dx, initial=0.0))
-    return cumulative_simpson(y, dx=dx, initial=0.0)
+    """Cumulative Simpson integral of y (odd node count, uniform step dx)
+    along its last axis, from 0: scipy's cumulative_simpson sub-interval
+    formula, evaluated once on complex input."""
+    if y.shape[-1] % 2 == 0:
+        raise ValueError("need an odd node count for cumulative Simpson")
+    # [x_k, x_k+1] from the parabola through the nodes 2j, 2j+1, 2j+2 that
+    # hold it: the left half (k = 2j) and the right half (k = 2j + 1)
+    f1, f2, f3 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    out = np.empty(y.shape, np.result_type(y, dx))
+    out[..., 0] = 0.0
+    out[..., 1::2] = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    out[..., 2::2] = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _phases(e, tau):
+    """exp(i e tau) for energies e on the uniform grid tau: phases at block
+    starts times in-block offsets, len(e) (n/B + B) complex exponentials
+    instead of len(e) n.  The step comes from the endpoints, since
+    tau[1] - tau[0] carries a rounding error of up to ~1e-13 relative."""
+    n = len(tau)
+    block = math.isqrt(n) + 1
+    step = (tau[-1] - tau[0]) / (n - 1)
+    start = np.exp(1j * np.multiply.outer(e, tau[::block]))
+    offset = np.exp(1j * np.multiply.outer(e, step * np.arange(block)))
+    return (start[:, :, None] * offset[:, None, :]).reshape(len(e), -1)[:, :n]
 
 
 def _simpson_weights(n, h):
@@ -456,7 +476,10 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     (Y_AB diverges there) and nothing is added.
 
     Returns (value, error_estimate); the estimate is the change under
-    halving both node counts.
+    halving both node counts.  Every e^{+-i E tau} is read from one phase
+    matrix per chunk of radial nodes (its conjugate for -E), which the half
+    time grid tau[::2] of the estimate shares; the radial-node halving is
+    a second call.
     """
     if entry not in ORACLE_ENTRIES:
         raise ValueError(f"unknown entry {entry!r}; choose from {ORACLE_ENTRIES}")
@@ -477,12 +500,13 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     # radial Gauss-Legendre nodes
     if n_p is None:
         n_p = int(min(420, max(96, 9.0 * p_max * max(sigma, 1.0))))
-    xg, wg = np.polynomial.legendre.leggauss(n_p)
+    xg, wg = _legendre(n_p)
     p_nodes = 0.5 * p_max * (xg + 1.0)
     p_weights = 0.5 * p_max * wg
     e_nodes = np.sqrt((p_nodes * c) ** 2 + mc2 * mc2)
     measure = p_weights * p_nodes**2 / e_nodes * np.exp(-epsilon * e_nodes)
-    ang = _sinc(p_nodes * d)
+    if entry in ("Y_AB", "xi_AB") or (entry in _SEPARABLE and _SEPARABLE[entry][2]):
+        measure = measure * _sinc(p_nodes * d)
 
     # uniform time grid fine enough for the fastest phase
     omega_max = de + float(e_nodes[-1])
@@ -492,9 +516,12 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     # 4k+1 nodes so the half grid tau[::2] is still odd-count for Simpson
     n_time += (-(n_time - 1)) % 4
     tau = np.linspace(-window, window, n_time)
-    h = tau[1] - tau[0]
-    wt = _simpson_weights(n_time, h)
     chi = np.exp(-(tau**2) / (2.0 * sigma * sigma))
+    up = np.exp(1j * de * tau)          # e^{i dE tau}; e^{-i dE tau} is its conjugate
+    # (node slice, step): the full grid, and the half grid for the estimate
+    grids = [(slice(None), tau[1] - tau[0])]
+    if _estimate_error:
+        grids.append((slice(None, None, 2), tau[2] - tau[0]))
 
     tail = 0.0
     if entry in ("Y_AB", "xi_AB") and d > 0:
@@ -502,59 +529,50 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
         tail = (-2j * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
                 / (4.0 * math.pi**2 * c * c * d) * (0.5 * math.pi - float(si)))
 
-    def run(p_e_m_a, tau, wt, chi):
-        p_sel, e_sel, m_sel, a_sel = p_e_m_a
-        dt = tau[1] - tau[0]
-        total = 0.0 + 0.0j
-        chunk = 48
-        for i0 in range(0, len(p_sel), chunk):
-            e = e_sel[i0:i0 + chunk, None]
-            m = m_sel[i0:i0 + chunk]
-            a = a_sel[i0:i0 + chunk]
-            if entry in _SEPARABLE:
-                (a1, b1), (a2, b2), _ = _SEPARABLE[entry]
-                f1 = np.exp(1j * (a1 * de + b1 * e) * tau) * (wt * chi)
-                f2 = np.exp(1j * (a2 * de + b2 * e) * tau) * (wt * chi)
-                i2 = f1.sum(axis=1) * f2.sum(axis=1)
-            elif entry == "M":
-                # int dtau chi e^{i w tau} int_{-W}^{tau} dtau' chi e^{-i w tau'}
-                # for w = dE + E and w = dE - E (the two anti-commutator pieces)
-                i2 = 0.0 + 0.0j * m
-                for b in (+1, -1):
-                    w_ = de + b * e
-                    inner = _cumsimp(chi * np.exp(-1j * w_ * tau), dt)
-                    outer = (wt * chi) * np.exp(1j * w_ * tau) * inner
-                    i2 = i2 + outer.sum(axis=1)
-            else:  # Y_AB / xi_AB: e^{-i s dE (tA + tB')} G_F-ordered kernel
-                s = -1.0 if entry == "Y_AB" else +1.0
-                ghost = chi * np.exp(1j * (s * de + e) * tau)
-                c_lower = _cumsimp(ghost, dt)
-                g2 = chi * np.exp(1j * (s * de - e) * tau)
-                cum2 = _cumsimp(g2, dt)
-                c_upper = cum2[:, -1:] - cum2
-                outer = (wt * chi) * (
-                    np.exp(1j * (s * de - e) * tau) * c_lower
-                    + np.exp(1j * (s * de + e) * tau) * c_upper
-                )
-                i2 = outer.sum(axis=1)
-            with_sinc = entry in ("Y_AB", "xi_AB") or (
-                entry in _SEPARABLE and _SEPARABLE[entry][2])
-            w_meas = m * (a if with_sinc else 1.0)
-            total += (w_meas * i2).sum()
-        return total / (4.0 * math.pi**2) + tail
+    def pm(z, sign):
+        # a phase factor z, or for sign < 0 its conjugate, the opposite phase
+        return z if sign > 0 else z.conj()
 
-    full = (p_nodes, e_nodes, measure, ang)
-    value = run(full, tau, wt, chi)
+    def tsum(ph, b, v):
+        # sum over tau of e^{i b E tau} v(tau), for each radial node
+        return ph @ v if b > 0 else (ph @ v.conj()).conj()
+
+    def time_integral(ph, nodes, dt):
+        """The double time integral at each radial node, ph = e^{i E tau}."""
+        ph, u, x = ph[:, nodes], up[nodes], chi[nodes]
+        wx = _simpson_weights(len(x), dt) * x
+        if entry in _SEPARABLE:
+            # phase e^{i(a dE + b E) tau} on each time integral
+            (a1, b1), (a2, b2), _ = _SEPARABLE[entry]
+            return tsum(ph, b1, pm(u, a1) * wx) * tsum(ph, b2, pm(u, a2) * wx)
+        if entry == "M":
+            # int dtau chi e^{i w tau} int_{-W}^{tau} dtau' chi e^{-i w tau'}
+            # for w = dE + E and w = dE - E (the two anti-commutator pieces)
+            g = x * u.conj()
+            return sum((pm(ph, b) * _cumsimp(pm(ph, -b) * g, dt)) @ (wx * u)
+                       for b in (+1, -1))
+        # Y_AB / xi_AB: e^{-+i dE (tA + tB')} times the G_F-ordered kernel
+        q = pm(u, -1 if entry == "Y_AB" else +1)
+        g = x * q
+        c_lower = _cumsimp(ph * g, dt)
+        cum2 = _cumsimp(ph.conj() * g, dt)
+        c_upper = cum2[:, -1:] - cum2
+        return (ph.conj() * c_lower + ph * c_upper) @ (wx * q)
+
+    # one phase matrix per chunk of radial nodes serves both time grids
+    sums = np.zeros(len(grids), complex)
+    chunk = 48
+    for i0 in range(0, n_p, chunk):
+        ph = _phases(e_nodes[i0:i0 + chunk], tau)
+        for k, (nodes, dt) in enumerate(grids):
+            sums[k] += measure[i0:i0 + chunk] @ time_integral(ph, nodes, dt)
+    value, *half = sums / (4.0 * math.pi**2) + tail
 
     if not _estimate_error:
         return value, math.nan
 
-    tau_h = tau[::2]
-    wt_h = _simpson_weights(len(tau_h), tau_h[1] - tau_h[0])
-    chi_h = chi[::2]
-    half = run(full, tau_h, wt_h, chi_h)
     coarse, _ = oracle_quadrature(entry, scenario, window, p_max, epsilon,
                                   n_time=n_time, n_p=max(32, n_p // 2),
                                   _estimate_error=False)
-    err = abs(value - half) + abs(value - coarse)
+    err = abs(value - half[0]) + abs(value - coarse)
     return value, err

@@ -355,6 +355,26 @@ def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():
     assert proc.stdout == "False\n"
 
 
+def test_massless_oracle_skips_scipy_integrate():
+    # the oracle's cumulative Simpson sums are in-house
+    script = ("import sys\n"
+              "from udleak.integrals import oracle_quadrature\n"
+              "from udleak.model import (GAUSSIAN, DetectorPairConfig, FieldSpec,\n"
+              "                          SwitchingSpec, bell_state, validate_config)\n"
+              "sc = validate_config(\n"
+              "    DetectorPairConfig(delta_e=1.0, coupling_a=0.1, coupling_b=0.1,\n"
+              "                       distance=0.5),\n"
+              "    FieldSpec(mass=0.0), bell_state(),\n"
+              "    SwitchingSpec(kind=GAUSSIAN, sigma=1.0))\n"
+              "for entry in ('M', 'Y_AB'):\n"
+              "    oracle_quadrature(entry, sc, window=7.0, p_max=8.0, epsilon=1e-6,\n"
+              "                      n_time=801, n_p=48)\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_scipy_warning_is_one_line_naming_the_point(capsys):
     # the regulated d = 0 Y_AB warns at a very wide window, and still passes
     code = main(["--mode", "gaussian", "--sigma", "1", "--distance", "0",

@@ -355,6 +355,80 @@ def test_oracle_large_sigma_slope():
     assert math.sqrt(math.pi) * slope == pytest.approx(strip.coeff.real, rel=0.02)
 
 
+# the oracle's array kernels
+
+def test_cumsimp_matches_scipy_on_real_and_imaginary_parts():
+    from scipy.integrate import cumulative_simpson
+    rng = np.random.default_rng(7)
+    h = 0.0137
+    for n in (3, 5, 101, 1601):
+        y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        ref = (cumulative_simpson(y.real, dx=h, initial=0)
+               + 1j * cumulative_simpson(y.imag, dx=h, initial=0))
+        got = integrals._cumsimp(y, h)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), n
+
+
+def test_cumsimp_exact_for_cubic_at_even_nodes():
+    x = np.linspace(-1.0, 2.0, 41)
+    y = (1 + 2j) * x**3 - 3 * x**2 + (0.5 - 1j) * x + 2
+    antider = lambda t: (1 + 2j) * t**4 / 4 - t**3 + (0.5 - 1j) * t**2 / 2 + 2 * t
+    got = integrals._cumsimp(y, x[1] - x[0])
+    assert np.max(np.abs(got[::2] - (antider(x) - antider(x[0]))[::2])) < 1e-14
+    with pytest.raises(ValueError):
+        integrals._cumsimp(y[:-1], x[1] - x[0])
+
+
+def test_phases_match_direct_exponentials():
+    # |E tau| up to 2,000, on a grid whose length is not a block multiple
+    tau = np.linspace(-10.0, 10.0, 4003)
+    e = np.linspace(0.0, 200.0, 37)
+    direct = np.exp(1j * np.multiply.outer(e, tau))
+    assert np.max(np.abs(integrals._phases(e, tau) - direct)) < 1e-12
+
+
+ORACLE_CASES = [(0.0, 0.5), (0.4, 1.0), (0.3, 0.0)]
+
+
+@pytest.mark.parametrize("mass, d", ORACLE_CASES)
+def test_oracle_error_estimate_is_half_grid_plus_half_nodes(mass, d):
+    # the estimate shares the full grid's phases with its half grid; it
+    # must still equal the two standalone coarser evaluations
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=mass, d=d)
+    scale = gaussian_integral_set(sc).entries()["P''_A"].coeff.real
+    kw = dict(window=7.0, p_max=8.0, epsilon=1e-6)
+    for entry in ("P''", "X_AB", "M", "Y_AB"):
+        v, err = oracle_quadrature(entry, sc, n_time=3201, n_p=96, **kw)
+        half, _ = oracle_quadrature(entry, sc, n_time=1601, n_p=96,
+                                    _estimate_error=False, **kw)
+        coarse, _ = oracle_quadrature(entry, sc, n_time=3201, n_p=48,
+                                      _estimate_error=False, **kw)
+        assert abs(err - (abs(v - half) + abs(v - coarse))) < 1e-13 * scale, entry
+
+
+# oracle values at sigma = 1, m = 0.4, d = 0.5, dE = 1 (window 7, p_max 8,
+# eps 1e-6, 1601 time nodes, 48 radial nodes), recorded from the scipy
+# cumulative_simpson and direct-exponential implementation
+PINNED_ORACLE = {
+    "P''": complex(0.2619943912894479, 0.0),
+    "X_AB": complex(0.23648513191612358, 0.0),
+    "M": complex(0.1326773526644595, -0.1694544151703456),
+    "Y_AB": complex(0.020078598675770148, -0.09248554669603277),
+    "xi_AB": complex(0.020078598675770155, -0.09248554669603277),
+}
+
+
+def test_oracle_pinned_values():
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=0.4, d=0.5)
+    scale = gaussian_integral_set(sc).entries()["P''_A"].coeff.real
+    for entry, ref in PINNED_ORACLE.items():
+        v, err = oracle_quadrature(entry, sc, window=7.0, p_max=8.0, epsilon=1e-6,
+                                   n_time=1601, n_p=48, _estimate_error=False)
+        assert abs(v - ref) < 1e-12 * scale, (entry, v, ref)
+        assert math.isnan(err)
+
+
 def test_integral_set_max_err_and_power():
     ints = eternal_integral_set(_scenario())
     assert ints.delta0_power == 1
