@@ -292,6 +292,42 @@ def _json_record(params, report, ints):
     }
 
 
+def _json_layout(obj, indent):
+    """json.dumps(obj, indent=2) of obj nested at `indent` (a newline and
+    spaces), with %s for each leaf; keys are strings."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        parts = [json.dumps(k).replace("%", "%%") + ": " + _json_layout(v, inner)
+                 for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        parts = [_json_layout(v, inner) for v in obj]
+    else:
+        return "%s"
+    left, right = "{}" if isinstance(obj, dict) else "[]"
+    return left + (inner + ("," + inner).join(parts) + indent if parts else "") + right
+
+
+def _json_leaves(obj, out):
+    for v in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(v, (dict, list, tuple)):
+            _json_leaves(v, out)
+        else:
+            out.append(v)
+
+
+def _json_text(rows):
+    """json.dumps(rows, indent=2) + "\n" byte for byte, for the records of
+    one plan, which share one shape.  json encodes in pure Python when
+    indent is set; here the layout comes from the first record, once, and
+    all leaves go through json's C encoder in one call."""
+    leaves = []
+    _json_leaves(rows, leaves)
+    # encoded JSON never holds a raw NUL: ensure_ascii escapes it in strings
+    cells = json.dumps(leaves, separators=("\0", ":"))[1:-1].split("\0")
+    row = _json_layout(rows[0], "\n  ")
+    return ("[\n  " + ",\n  ".join([row] * len(rows)) + "\n]\n") % tuple(cells)
+
+
 def _one_line_warnings(caught):
     """The distinct messages of the recorded warnings, each on one line;
     empties the record."""
@@ -384,7 +420,7 @@ def run_plan(plan: RunPlan, out=None):
     if plan.format == "csv":
         text = CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
     else:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = _json_text(rows)
     out.write(text)
     return exit_code
 

@@ -6,9 +6,11 @@ a typed operation instead of arithmetic on a large float.
 
 Gaussian switching: every double time integral of a non-time-ordered
 entry factorizes mode by mode into products of switching-window Fourier
-transforms, leaving a single smooth radial momentum quadrature (angular
-part analytic, sinc(p d) where a phase exp(+-i p.d) appears).  The six
-such entries share one composite Gauss-Legendre rule whose panel edges
+transforms, leaving a single smooth radial momentum integral (angular
+part analytic, sinc(p d) where a phase exp(+-i p.d) appears).  Massless,
+the six such entries are Gaussian moments and sine transforms in E = p c,
+closed through erfc-like tails of the Faddeeva function, with no error.
+Massive, they share one composite Gauss-Legendre rule whose panel edges
 hold the window peaks; each error estimate is the change from the rule
 with half the nodes.  Two real parts follow from identities of a real
 even window rather than from their ordered integrals: Re M = (P + P'')/2
@@ -28,12 +30,13 @@ oracle for everything else.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, sici
+from scipy.special import j1, sici, wofz
 
 from .model import ETERNAL, GAUSSIAN, ValidatedScenario
 from .wightman import PositionKernel, switching_fourier, wightman_position
@@ -207,10 +210,69 @@ def _legendre(n):
 RADIAL_ENTRIES = ("P", "P''", "Pbar", "P*_AB", "X_AB", "P'_AB")
 
 
+def _finite_entries(val):
+    val = np.asarray(val)
+    if not np.isfinite(val).all():
+        k = int(np.argmin(np.isfinite(val)))
+        raise OverflowError(f"{RADIAL_ENTRIES[k]} = {val[k]} is not finite")
+    return val
+
+
+def _massless_entries(scenario, p_max):
+    """The six radial entries at m = 0 in closed form, RADIAL_ENTRIES order.
+
+    With E = p c, L = p_max c, s = sigma, k = s^2/(2 pi c^3) and x = d/c,
+    each entry is k int_0^L g(E) e^{-s^2 (E - a)^2} dE, g = E (P, P'', Pbar)
+    or sin(E x)/x (P*_AB, X_AB, P'_AB), at a = -dE, +dE and 0 (times
+    e^{-s^2 dE^2}) in turn.  Both reduce to segments of
+    int e^{-s^2 t^2 + i x t} dt (t = E - a) between tails
+    T(b) = int_b^inf = (sqrt(pi)/2s) e^{-s^2 b^2 + i b x} w(x/2s + i s b)
+    for b >= 0 only, so the Faddeeva w is evaluated where Im >= 0 and no
+    e^{+s^2 b^2} forms.
+    """
+    s = scenario.switching.sigma
+    c = scenario.units.c
+    de = scenario.pair.delta_e
+    big_l = p_max * c
+    x = scenario.pair.distance / c
+    k = s * s / (2.0 * math.pi * c**3)
+    root_pi = math.sqrt(math.pi)
+
+    def tail(b, freq):
+        return (root_pi / (2.0 * s) * cmath.exp(complex(-(s * b) ** 2, b * freq))
+                * complex(wofz(complex(freq / (2.0 * s), s * b))))
+
+    def segment(lo, hi, freq):
+        # int_lo^hi e^{-s^2 t^2 + i freq t} dt, from tails past 0 only
+        if lo >= 0.0:
+            return tail(lo, freq) - tail(hi, freq)
+        if hi <= 0.0:
+            return (tail(-hi, freq) - tail(-lo, freq)).conjugate()
+        whole = root_pi / s * math.exp(-(freq / (2.0 * s)) ** 2)
+        return whole - tail(-lo, freq).conjugate() - tail(hi, freq)
+
+    def moment(a):
+        ends = math.exp(-(s * a) ** 2) - math.exp(-(s * (big_l - a)) ** 2)
+        return ends / (2.0 * s * s) + a * segment(-a, big_l - a, 0.0).real
+
+    def sine(a):
+        return (cmath.exp(complex(0.0, a * x)) * segment(-a, big_l - a, x)).imag
+
+    pair = math.exp(-(s * de) ** 2)
+    radial = [k * moment(-de), k * moment(de),
+              pair * -math.expm1(-(s * big_l) ** 2) / (4.0 * math.pi * c**3)]
+    if x * big_l < 1e-8:
+        # sinc(p d) rounds to 1 up to p_max: d = 0 to double precision
+        return _finite_entries(radial + radial)
+    f = k / x
+    return _finite_entries(radial + [f * sine(-de), f * sine(de), f * pair * sine(0.0)])
+
+
 def _radial_entries(scenario, p_max, tol):
     """The six radial entries 1/(4 pi^2) int_0^pmax dp p^2/E [sinc(p d)] w(E),
     w one of chi(E + dE)^2, chi(E - dE)^2, chi(E - dE) chi(E + dE), in
-    RADIAL_ENTRIES order, with their error estimates.
+    RADIAL_ENTRIES order, with their error estimates.  Only massive points
+    come here: at m = 0, _massless_entries has them in closed form.
 
     Composite Gauss-Legendre on panels whose edges hold every peak of the
     weights: the shell q, q +- 10/(sigma c) and 10/(sigma c), where a
@@ -246,10 +308,7 @@ def _radial_entries(scenario, p_max, tol):
     # the panels instead of raising n past 256
     coarse, parts = rule(1, 128), 1
     while True:
-        val = rule(parts, 256)
-        if not np.isfinite(val).all():
-            k = int(np.argmin(np.isfinite(val)))
-            raise OverflowError(f"{RADIAL_ENTRIES[k]} = {val[k]} is not finite")
+        val = _finite_entries(rule(parts, 256))
         err = np.abs(val - coarse)
         failing = ~(err <= np.maximum(tol, 1e-14 * np.abs(val)))
         if not failing.any():
@@ -380,8 +439,11 @@ def gaussian_integral_set(scenario: ValidatedScenario,
     if scenario.switching.kind != GAUSSIAN:
         raise ValueError("gaussian_integral_set requires gaussian switching")
     settings = settings or QuadratureSettings()
-    val, err = _radial_entries(scenario, settings.resolved_p_max(scenario),
-                               settings.tol)
+    p_max = settings.resolved_p_max(scenario)
+    if scenario.field.mass == 0.0:
+        val, err = _massless_entries(scenario, p_max), np.zeros(len(RADIAL_ENTRIES))
+    else:
+        val, err = _radial_entries(scenario, p_max, settings.tol)
     results = {name: RegulatedValue(complex(v), 0, float(e))
                for name, v, e in zip(RADIAL_ENTRIES, val, err)}
     p = results["P"]

@@ -132,13 +132,11 @@ def _psd_sqrt(m):
 def wootters_lambdas(rho, tol=1e-10):
     """Spin-flip eigenvalue lists lambda'_1 >= ... >= lambda'_4, shape (..., 4).
 
-    Computed from the Hermitian product sqrt(rho) rho_tilde sqrt(rho)
-    rather than the non-Hermitian rho rho_tilde: numerically stable and it
-    reuses the Hermitian eigensolver.  Tiny negative eigenvalues of rho (second
-    order truncation artifacts) are clamped to zero before square roots,
-    and eigenvalues of the product below 1e-13 of its trace are deflated
-    to exact zero: the square root would otherwise amplify solver noise
-    on exact-zero eigenvalues into O(1e-8) spurious lambda' values.
+    With R = sqrt(rho), R rho_tilde R = A A^dagger for A = R (sy x sy) R*,
+    so the lambda' are the singular values of conj(A) = R* (sy x sy) R,
+    taken directly: no square root of an eigenvalue amplifies solver noise
+    near zero.  Tiny negative eigenvalues of rho (second order truncation
+    artifacts) are clamped to zero in R.
     """
     rho = as_matrix4(rho)
     _check_hermitian(rho, tol)
@@ -148,9 +146,4 @@ def wootters_lambdas(rho, tol=1e-10):
         raise NotNormalized(f"trace(rho) is {off[worst]:.3e} away from 1, beyond 1e-8", worst)
 
     root = _psd_sqrt(rho)
-    inner = root @ spin_flip(rho) @ root
-    inner = 0.5 * (inner + dagger(inner))
-    vals = hermitian_eigenvalues(inner, tol=1e-8)
-    floor = 1e-13 * np.maximum(trace(inner).real, 0.0)
-    vals = np.where(vals < floor[..., None], 0.0, vals)
-    return np.sqrt(vals)[..., ::-1]
+    return np.linalg.svd(root.conj() @ SPIN_FLIP @ root, compute_uv=False)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import udleak
+from udleak import cli
 from udleak.cli import (CSV_HEADER, CliError, main, parse_args, run_plan)
 
 
@@ -89,9 +90,10 @@ def test_shield_halves_negativity_rate():
 
 
 def test_gaussian_fills_measures_not_rates():
+    # massive: a massless point's entries are closed, with no quadrature error
     code, text = _run(["--mode", "gaussian", "--sigma", "2", "--delta-e", "1",
                        "--alpha", "0.70710678118654752", "--coupling-a", "0.1",
-                       "--coupling-b", "0.1", "--distance", "0.5"])
+                       "--coupling-b", "0.1", "--distance", "0.5", "--mass", "0.4"])
     assert code == 0
     row = dict(zip(CSV_HEADER.split(","),
                    text.strip().split("\n")[1].split(",")))
@@ -117,6 +119,28 @@ def test_json_format_nests_integrals():
 def test_validate_passes_on_clean_run():
     code, _ = _run(BASE + ["--validate", "--sweep", "mass=0:0.5:3"])
     assert code == 0
+
+
+def test_validate_passes_at_small_couplings():
+    # lambda'_3 ~ 1.3e-8 here: the spin-flip values are singular values, so
+    # no square root of an eigenvalue blows solver noise up to that size
+    assert main(["--validate", "--coupling-a", "1e-3", "--coupling-b", "1e-3",
+                 "--distance", "0.5", "--alpha", "0.6"]) == 0
+
+
+@pytest.mark.parametrize("argv, x_ab", [
+    (["--mode", "gaussian", "--sigma", "1", "--distance", "1e4"], 5.8550e-10),
+    (["--mode", "gaussian", "--sigma", "3", "--delta-e", "0.3",
+      "--distance", "1e6"], 6.3721e-13),
+], ids=["d=1e4", "d=1e6"])
+def test_massless_gaussian_at_large_separation(argv, x_ab):
+    # sinc(p d) turns over thousands of times below p_max; the massless
+    # entries are closed, so no panel rule has to resolve it
+    assert _run(argv)[0] == 0
+    code, text = _run(argv + ["--format", "json"])
+    assert code == 0
+    got = json.loads(text)[0]["integrals"]["X_AB"]["re"]
+    assert got == pytest.approx(x_ab, rel=1e-3)
 
 
 def test_unknown_flag_exits_1():
@@ -280,9 +304,11 @@ def test_overflow_names_the_point(capsys):
 
 @pytest.mark.parametrize("extra, code", [
     (["--delta-e", "-1"], 1),
-    (["--validate", "--coupling-a", "1e-3", "--coupling-b", "1e-3"], 2),
+    (["--validate"], 2),
 ], ids=["invalid-scenario", "validate-breach"])
-def test_failed_run_leaves_output_untouched(tmp_path, extra, code):
+def test_failed_run_leaves_output_untouched(tmp_path, monkeypatch, extra, code):
+    # no clean point breaches --validate, so a zero tolerance makes one
+    monkeypatch.setattr(cli, "_validate_tolerance", lambda mode, report: 0.0)
     out = tmp_path / "rows.csv"
     out.write_bytes(b"previous run\n")
     assert main(BASE + ["--distance", "0.5", "--output", str(out)] + extra) == code
@@ -384,6 +410,40 @@ def test_scipy_warning_is_one_line_naming_the_point(capsys):
     assert lines[0] == ("udleak: warning: The integral is probably divergent, "
                         "or slowly convergent. at sigma=300.0")
     assert all(line.startswith("udleak: warning: ") for line in lines)
+
+
+WRITER_PLANS = {
+    "eternal-sweep": ["--mode", "eternal", "--format", "json", "--sweep",
+                      "mass=0:1:3", "--sweep", "distance=0:2:2"],
+    "gaussian-sweep": ["--mode", "gaussian", "--format", "json", "--sweep",
+                       "sigma=1:2:2", "--sweep", "distance=0.5:1:2"],
+    "one-point": ["--mode", "gaussian", "--sigma", "1", "--distance", "0.5",
+                  "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PLANS))
+def test_json_output_is_its_indent_2_encoding(name):
+    code, text = _run(WRITER_PLANS[name])
+    assert code == 0
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["eternal_mass_alpha.json",
+                                  "gaussian_massless_massive.json"])
+def test_json_writer_matches_json_on_goldens(name):
+    golden = pathlib.Path(__file__).parent / "golden" / name
+    rows = json.loads(golden.read_text())
+    assert cli._json_text(rows) == json.dumps(rows, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_on_every_leaf_kind():
+    leaves = [math.nan, math.inf, -math.inf, None, -0.0, 5e-324, 1e308, 0.1,
+              True, False, 0, -7, 2**70, "gaussian", "a%s\0\"\u00e9, b"]
+    rows = [{"params": {"%d": leaf, "x": [leaf, (leaf,)], "e": {}, "l": []},
+             "report": {"k": leaf}} for leaf in leaves]
+    for n in (1, len(rows)):
+        assert cli._json_text(rows[:n]) == json.dumps(rows[:n], indent=2) + "\n"
 
 
 # each kind of RunPlan field: config lines, the same settings as flags, and

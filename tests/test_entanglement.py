@@ -180,7 +180,8 @@ def test_analyze_eternal_report():
 
 
 def test_analyze_gaussian_report():
-    rep = analyze(_scenario(kind=GAUSSIAN, sigma=2.0, mass=0.0, d=0.5))
+    # massive: a massless point's entries are closed, with no quadrature error
+    rep = analyze(_scenario(kind=GAUSSIAN, sigma=2.0, mass=0.4, d=0.5))
     assert rep.mode == GAUSSIAN
     assert rep.negativity_rate is None and rep.concurrence_rate is None
     assert 0.0 < rep.negativity < rep.initial_negativity

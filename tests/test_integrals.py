@@ -214,8 +214,9 @@ def test_cross_term_nonconvergence_names_y_ab():
 
 
 def test_gaussian_nonconvergence_names_entry():
-    # sinc(p d) turns over ~16,000 times below p_max: no rule resolves it
-    sc = _scenario(kind=GAUSSIAN, sigma=1.0, d=1e4)
+    # sinc(p d) turns over ~16,000 times below p_max: no panel rule resolves
+    # it (massive; the massless entries are closed)
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=0.4, d=1e4)
     with pytest.raises(QuadratureNonConvergence, match="entry X_AB"):
         gaussian_integral_set(sc)
 
@@ -274,6 +275,29 @@ def test_gaussian_massless_coincident_closed_forms(no_cross_term, sigma, de):
                        (p_bar, ("Pbar_A", "P'_AB"))):
         for name in names:
             assert abs(e[name].coeff - ref) <= 1e-12 * max(1.0, abs(ref)), name
+
+
+@pytest.mark.parametrize("c", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("d", (0.0, 1e-3, 0.05, 0.5, 5.0, 50.0, 300.0))
+def test_massless_closed_entries_match_panels(d, c):
+    # the closed forms against the panel rule they replace at m = 0, with
+    # sigma dE up to 30 and the cut-off at and below its default
+    for sigma, de in ((1.0, 1.0), (0.3, 2.0), (3.0, 0.5), (10.0, 3.0),
+                      (0.5, 0.2), (20.0, 1.5)):
+        sc = _scenario(de=de, kind=GAUSSIAN, sigma=sigma, d=d, c=c)
+        default = QuadratureSettings().resolved_p_max(sc)
+        for p_max in (default, 0.3 * default):
+            closed = integrals._massless_entries(sc, p_max)
+            panels, err = integrals._radial_entries(sc, p_max, 1e-10)
+            bound = 1e-12 * np.abs(closed) + 1e-14 * closed[1] + err
+            assert np.all(np.abs(closed - panels) <= bound), (sigma, de, p_max)
+
+
+def test_massless_entries_overflow_names_the_entry():
+    # k = sigma^2/(2 pi c^3) overflows while the moments stay finite
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, d=0.5, c=1e-105)
+    with pytest.raises(OverflowError, match=r"^P = inf is not finite"):
+        gaussian_integral_set(sc)
 
 
 def test_gaussian_rejects_eternal_scenario():
@@ -433,5 +457,7 @@ def test_integral_set_max_err_and_power():
     ints = eternal_integral_set(_scenario())
     assert ints.delta0_power == 1
     assert ints.max_err == 0.0
-    g = gaussian_integral_set(_scenario(kind=GAUSSIAN, sigma=1.0))
+    g = gaussian_integral_set(_scenario(kind=GAUSSIAN, sigma=1.0, mass=0.4))
     assert g.max_err > 0.0
+    # massless: every entry is closed, Im Y_AB included
+    assert gaussian_integral_set(_scenario(kind=GAUSSIAN, sigma=1.0)).max_err == 0.0
