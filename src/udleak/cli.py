@@ -1,20 +1,23 @@
 """Command-line front end: sweeps, validation runs, CSV/JSON emission.
 
-Output is deterministic: fixed float formatting (17 significant digits),
-grid order follows sweep declaration order, no timestamps.  Exit codes:
-0 success, 1 bad arguments (offending token named) or a computation that
-overflowed, 2 quadrature non-convergence, a --validate tolerance breach or
-a failed trace or Hermiticity check of a density matrix (the point named),
-3 a perturbative-regime error under --strict.  A warning raised while a
-point's integrals are computed prints as one "udleak: warning:" line naming
-the point.  An --output file is written whole, and only on exit 0.
+A sweep is built as columns, one stacked scenario that is validated and
+(eternal mode) integrated in one pass; only the Gaussian quadrature runs
+point by point.  Output is deterministic: fixed float formatting (17
+significant digits), grid order follows sweep declaration order, no
+timestamps.  Exit codes: 0 success, 1 bad arguments (offending token
+named), an invalid scenario or a computation that overflowed, 2 quadrature
+non-convergence, a --validate tolerance breach or a failed trace or
+Hermiticity check of a density matrix, 3 a perturbative-regime error under
+--strict; the first failing point in grid order is named.  A warning
+raised while a point's integrals are computed prints as one "udleak:
+warning:" line naming the point.  An --output file is written whole, and
+only on exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import math
 import os
@@ -27,7 +30,7 @@ import numpy as np
 from .entanglement import analyze
 from .integrals import (QuadratureNonConvergence, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
-from .linalg import MatrixCheckFailed
+from .linalg import MatrixCheckFailed, pow2
 from .model import (ETERNAL, GAUSSIAN, ConfigError, DetectorPairConfig,
                     FieldSpec, InitialState, SwitchingSpec, UnitSystem,
                     stack_points, unstack, validate_config)
@@ -48,8 +51,8 @@ VALIDATE_TOL_GAUSSIAN = 1e-6
 
 def _validate_tolerance(mode, report):
     base = VALIDATE_TOL_ETERNAL if mode == ETERNAL else VALIDATE_TOL_GAUSSIAN
-    return max(base, 4.0 * report.perturbative_indicator**2,
-               10.0 * report.max_quad_error)
+    return np.maximum(np.maximum(base, 4.0 * pow2(report.perturbative_indicator)),
+                      10.0 * report.max_quad_error)
 
 
 class CliError(Exception):
@@ -207,50 +210,66 @@ def parse_args(argv) -> RunPlan:
 
 
 def _grid(plan: RunPlan):
-    """(sweep point, every scenario value) dict pairs in grid order."""
-    names = [spec.name for spec in plan.sweep]
-    base = {name: getattr(plan, name) for name in SWEEPABLE}
-    for combo in itertools.product(*(np.linspace(spec.start, spec.stop, spec.steps)
-                                     for spec in plan.sweep)):
-        point = dict(zip(names, (float(v) for v in combo)))
-        params = {**base, **point}
-        if plan.shield_b:
-            params["coupling_b"] = 0.0
-        yield point, params
+    """The grid as columns: (sweep point, every scenario value), each a
+    dict of name -> array over the points (None for an unset value), in
+    itertools.product order over the sweep axes, the first sweep outermost."""
+    axes = [np.linspace(spec.start, spec.stop, spec.steps) for spec in plan.sweep]
+    n = math.prod(len(axis) for axis in axes)
+    point = {spec.name: column.ravel() for spec, column in
+             zip(plan.sweep, np.meshgrid(*axes, indexing="ij"))}
+    params = {name: point[name] if name in point
+              else None if getattr(plan, name) is None
+              else np.full(n, getattr(plan, name), dtype=float)
+              for name in SWEEPABLE}
+    if plan.shield_b:
+        params["coupling_b"] = np.zeros(n)
+    return point, params
 
 
-def _scenario_for(plan: RunPlan, params: dict):
-    sign = -1.0 if plan.gamma_sign == "-" else 1.0
-    gamma = sign * math.sqrt(max(1.0 - params["alpha"] ** 2, 0.0))
-    pair = DetectorPairConfig(
-        delta_e=params["delta_e"],
-        coupling_a=params["coupling_a"],
-        coupling_b=params["coupling_b"],
-        distance=params["distance"],
-    )
-    switching = (SwitchingSpec(kind=ETERNAL) if plan.mode == ETERNAL
-                 else SwitchingSpec(kind=GAUSSIAN, sigma=params["sigma"]))
-    return validate_config(
-        pair,
-        FieldSpec(mass=params["mass"]),
-        InitialState(alpha=params["alpha"], gamma=gamma),
-        switching,
-        UnitSystem(c=plan.c_light),
-    )
+def _integrated(plan, params, settings, caught):
+    """The validated grid of the columns `params`, its stacked integral set
+    and the one-line warnings per point (index -> lines).  Errors come as
+    if each point were set up, validated and integrated before the next:
+    the first failing point in grid order raises, with its `index`; a
+    stage that fails at point k re-runs the points before it, which may
+    fail in a later stage first."""
+    try:
+        alpha = params["alpha"]
+        sign = -1.0 if plan.gamma_sign == "-" else 1.0
+        grid = validate_config(
+            DetectorPairConfig(*(params[k] for k in
+                                 ("delta_e", "coupling_a", "coupling_b", "distance"))),
+            FieldSpec(mass=params["mass"]),
+            InitialState(alpha=alpha,
+                         gamma=sign * np.sqrt(np.maximum(1.0 - pow2(alpha), 0.0))),
+            SwitchingSpec(kind=ETERNAL) if plan.mode == ETERNAL
+            else SwitchingSpec(kind=GAUSSIAN, sigma=params["sigma"]),
+            UnitSystem(c=plan.c_light),
+        )
+        if plan.mode == ETERNAL:
+            return grid, eternal_integral_set(grid), {0: _one_line_warnings(caught)}
+    except (ConfigError, OverflowError) as exc:
+        if exc.index:
+            _integrated(plan, {k: None if v is None else v[:exc.index]
+                               for k, v in params.items()}, settings, caught)
+        raise
+    sets, notes = [], {}
+    for i, scenario in enumerate(unstack(grid)):
+        try:
+            sets.append(gaussian_integral_set(scenario, settings))
+        except (QuadratureNonConvergence, OverflowError, ZeroDivisionError) as exc:
+            exc.index = i
+            raise
+        notes[i] = _one_line_warnings(caught)
+    return grid, stack_points(sets), notes
 
 
-def _at(values: dict):
-    """' at name=value, ...' naming a grid point; '' when there is none."""
-    named = ", ".join(f"{k}={v!r}" for k, v in values.items() if v is not None)
+def _at(columns: dict, i):
+    """' at name=value, ...' naming grid point i of the columns; '' when
+    there is none."""
+    named = ", ".join(f"{k}={v[i].item()!r}" for k, v in columns.items()
+                      if v is not None)
     return f" at {named}" if named else ""
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, (str, bool)):
-        return str(x).lower()   # the mode; true/false
-    return "%.17g" % x
 
 
 def _params_record(plan, sc):
@@ -269,10 +288,23 @@ def _params_record(plan, sc):
     }
 
 
-def _csv_row(params, report):
-    report_columns = CSV_HEADER.split(",")[len(params):]
-    return ",".join([_fmt(v) for v in params.values()]
-                    + [_fmt(getattr(report, name)) for name in report_columns])
+def _csv_text(plan, grid, report, n):
+    """CSV_HEADER and one row per point.  A column is an array over the
+    points or one value shared by all (mode, c, an empty cell); shared
+    cells are formatted once, and every row goes through one "%.17g" row
+    template in C-level % formatting."""
+    columns = (list(_params_record(plan, grid).values())
+               + [getattr(report, name) for name in CSV_HEADER.split(",")[10:]])
+    template, table = [], []
+    for v in columns:
+        if isinstance(v, np.ndarray):
+            template.append("%s" if v.dtype == bool else "%.17g")
+            table.append(np.where(v, "true", "false") if v.dtype == bool else v)
+        else:
+            text = "" if v is None else v if isinstance(v, str) else "%.17g" % v
+            template.append(text.replace("%", "%%"))
+    cells = np.array(table, dtype=object).T.ravel().tolist()
+    return CSV_HEADER + "\n" + (",".join(template) + "\n") * n % tuple(cells)
 
 
 def _json_record(params, report, ints):
@@ -339,9 +371,11 @@ def _one_line_warnings(caught):
 
 
 def run_plan(plan: RunPlan, out=None):
-    """Execute the grid and emit records; returns the exit code.  Points are
-    validated and integrated one by one, then analysed as one stacked batch;
-    messages and records follow in grid order."""
+    """Execute the grid and emit records; returns the exit code.  The grid
+    is built, validated and (eternal) integrated as columns, the Gaussian
+    integrals point by point, and all of it analysed as one stacked batch;
+    checks are masks over the batch's report.  Messages and records follow
+    in grid order."""
     out = out if out is not None else sys.stdout
     settings = QuadratureSettings(
         tol=plan.quad_tol,
@@ -349,80 +383,76 @@ def run_plan(plan: RunPlan, out=None):
         eps_list=(2.0 * plan.epsilon, plan.epsilon),
     )
 
-    scenarios, sets, notes = [], [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for point, params in _grid(plan):
-            try:
-                scenario = _scenario_for(plan, params)
-                ints = (eternal_integral_set(scenario) if plan.mode == ETERNAL
-                        else gaussian_integral_set(scenario, settings))
-            except QuadratureNonConvergence as exc:
-                print(f"udleak: quadrature non-convergence: {exc}{_at(point)}",
-                      file=sys.stderr)
-                return 2
-            except (OverflowError, ZeroDivisionError) as exc:
-                print(f"udleak: computation overflowed{_at(params)}: {exc}",
-                      file=sys.stderr)
-                return 1
-            scenarios.append(scenario)
-            sets.append(ints)
-            notes.append(_one_line_warnings(caught))
-    # from here on the stacks carry the grid; the per-point objects go
-    grid, ints = stack_points(scenarios), stack_points(sets)
-    del scenarios, sets
+        point, params = _grid(plan)
+        try:
+            grid, ints, notes = _integrated(plan, params, settings, caught)
+        except QuadratureNonConvergence as exc:
+            print(f"udleak: quadrature non-convergence: {exc}{_at(point, exc.index)}",
+                  file=sys.stderr)
+            return 2
+        except ConfigError as exc:
+            print(f"udleak: invalid scenario: {'; '.join(exc.messages)}"
+                  f"{_at(point, exc.index)}", file=sys.stderr)
+            return 1
+        except (OverflowError, ZeroDivisionError) as exc:
+            print(f"udleak: computation overflowed{_at(params, exc.index)}: {exc}",
+                  file=sys.stderr)
+            return 1
     try:
         with np.errstate(over="raise"):
             batch = analyze(grid, settings, ints=ints)
     except (OverflowError, FloatingPointError) as exc:
-        print(f"udleak: computation overflowed in the measures of the grid: {exc}",
-              file=sys.stderr)
+        # the batch does not say which point overflowed: the first point
+        # that overflows alone does (a check may fail first at another)
+        for i, (sc, point_ints) in enumerate(zip(unstack(grid), unstack(ints))):
+            try:
+                with np.errstate(over="raise"):
+                    analyze(sc, ints=point_ints)
+            except (OverflowError, FloatingPointError):
+                break
+            except MatrixCheckFailed:
+                pass
+        print(f"udleak: computation overflowed{_at(params, i)}: {exc}", file=sys.stderr)
         return 1
     except MatrixCheckFailed as exc:   # a trace or Hermiticity check
-        _, params = next(itertools.islice(_grid(plan), exc.index, None))
-        print(f"udleak: numeric check failed: {exc}{_at(params)}", file=sys.stderr)
+        print(f"udleak: numeric check failed: {exc}{_at(params, exc.index)}",
+              file=sys.stderr)
         return 2
 
-    rows = []
-    exit_code = 0
-    point_sets = unstack(ints) if plan.format == "json" else itertools.repeat(None)
-    for (point, _), scenario, report, point_ints, point_notes in zip(
-            _grid(plan), unstack(grid), unstack(batch), point_sets, notes):
-        for note in point_notes:
-            print(f"udleak: warning: {note}{_at(point)}", file=sys.stderr)
-        if plan.validate:
-            tol = _validate_tolerance(plan.mode, report)
-            if report.agreement > tol:
-                print(
-                    "udleak: validation failed: closed-vs-numeric disagreement "
-                    f"{report.agreement:.3e} exceeds {tol:.3e}{_at(point)}",
-                    file=sys.stderr,
-                )
-                exit_code = max(exit_code, 2)
-        if not report.perturbative_ok:
-            print(
-                "udleak: warning: perturbative indicator "
-                f"{report.perturbative_indicator:.3e} exceeds 0.1{_at(point)}",
-                file=sys.stderr,
-            )
-        if plan.strict and report.perturbative_indicator > 1.0:
-            print(
-                "udleak: perturbative expansion invalid (indicator "
-                f"{report.perturbative_indicator:.3e} > 1) under --strict{_at(point)}",
-                file=sys.stderr,
-            )
-            exit_code = max(exit_code, 3)
-
-        params = _params_record(plan, scenario)
-        rows.append(_csv_row(params, report) if plan.format == "csv"
-                    else _json_record(params, report, point_ints))
+    n = len(params["alpha"])
+    tol = np.broadcast_to(_validate_tolerance(plan.mode, batch) if plan.validate
+                          else np.inf, n)
+    failed = batch.agreement > tol
+    strict = (batch.perturbative_indicator > 1.0) & plan.strict
+    warn = ~batch.perturbative_ok
+    for i in sorted(set(np.flatnonzero(failed | strict | warn).tolist()) | notes.keys()):
+        here = _at(point, i)
+        for note in notes.get(i, ()):
+            print(f"udleak: warning: {note}{here}", file=sys.stderr)
+        if failed[i]:
+            print("udleak: validation failed: closed-vs-numeric disagreement "
+                  f"{batch.agreement[i]:.3e} exceeds {tol[i]:.3e}{here}",
+                  file=sys.stderr)
+        if warn[i]:
+            print("udleak: warning: perturbative indicator "
+                  f"{batch.perturbative_indicator[i]:.3e} exceeds 0.1{here}",
+                  file=sys.stderr)
+        if strict[i]:
+            print("udleak: perturbative expansion invalid (indicator "
+                  f"{batch.perturbative_indicator[i]:.3e} > 1) under --strict{here}",
+                  file=sys.stderr)
 
     if plan.format == "csv":
-        text = CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
+        text = _csv_text(plan, grid, batch, n)
     else:
-        text = _json_text(rows)
+        text = _json_text([
+            _json_record(_params_record(plan, sc), report, point_ints)
+            for sc, report, point_ints in zip(unstack(grid), unstack(batch),
+                                              unstack(ints))])
     out.write(text)
-    return exit_code
+    return 3 if strict.any() else 2 if failed.any() else 0
 
 
 def _write_whole(path, text):
@@ -447,10 +477,6 @@ def main(argv=None) -> int:
         code = run_plan(plan, out=buf)
     except CliError as exc:
         print(f"udleak: error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"udleak: invalid scenario: {'; '.join(exc.messages)}",
-              file=sys.stderr)
         return 1
     if code == 0:
         try:

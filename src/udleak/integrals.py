@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j1, sici, wofz
 
-from .model import ETERNAL, GAUSSIAN, ValidatedScenario
+from .linalg import pow2, power
+from .model import ETERNAL, GAUSSIAN, ValidatedScenario, stack_points, unstack
 from .wightman import PositionKernel, switching_fourier, wightman_position
 
 
@@ -181,25 +182,38 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
     P'' = sqrt(dE^2 - m^2 c^4) / (2 c^3), Re M = half of that, and
     X_AB = P'' sinc(q d / c) with q the surviving energy-shell momentum
     scale.  At and below threshold everything is zero.
+
+    A stacked scenario gives entries that are arrays over the points; a
+    single one runs as a batch of one and gives plain numbers.  A
+    non-finite P'' raises OverflowError with `index`, the first such point.
     """
     if scenario.switching.kind != ETERNAL:
         raise ValueError("eternal_integral_set requires eternal switching")
-    c = scenario.units.c
-    de = scenario.pair.delta_e
-    mc2 = scenario.field.mass * c**2
-    root = math.sqrt(max(de * de - mc2 * mc2, 0.0))
+    single = np.ndim(scenario.state.alpha) == 0
+    sc = stack_points([scenario]) if single else scenario
+    c = sc.units.c
+    # Python floats overflow to inf, and 0 / 0 gives the NaN, silently
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mc2 = sc.field.mass * pow2(c)
+        root = np.sqrt(np.maximum(sc.pair.delta_e * sc.pair.delta_e - mc2 * mc2, 0.0))
+        c3 = power(c, 3.0)
+        p_dd = root / (2.0 * c3)
+        bad = ~np.isfinite(p_dd)
+        if bad.any():
+            k = int(np.argmax(bad))
+            exc = OverflowError(f"P'' = {p_dd[k].item()} is not finite")
+            exc.index = k
+            raise exc
+        m_re = root / (4.0 * c3)
+        x = p_dd * _sinc(root * sc.pair.distance / c)
 
-    p_dd = root / (2.0 * c**3)
-    if not math.isfinite(p_dd):
-        raise OverflowError(f"P'' = {p_dd} is not finite")
-    m_re = root / (4.0 * c**3)
-    x = p_dd * float(_sinc(root * scenario.pair.distance / c))
-
-    zero = RegulatedValue(0.0 + 0.0j, 0)
-    dist = lambda v: RegulatedValue(complex(v), 1 if root > 0.0 else 0)
-    return IntegralSet(p=zero, p_dd=dist(p_dd), p_bar=zero, m_re=dist(m_re),
-                       p_ab_star=zero, p_ab_prime=zero, x_ab=dist(x),
-                       y_ab=zero)
+    zero = RegulatedValue(np.zeros_like(root, dtype=complex), np.zeros(root.shape, int),
+                          np.zeros_like(root))
+    power0 = (root > 0.0).astype(int)
+    dist = lambda v: RegulatedValue(v.astype(complex), power0, zero.err)
+    ints = IntegralSet(p=zero, p_dd=dist(p_dd), p_bar=zero, m_re=dist(m_re),
+                       p_ab_star=zero, p_ab_prime=zero, x_ab=dist(x), y_ab=zero)
+    return next(unstack(ints)) if single else ints
 
 
 @functools.cache

@@ -11,7 +11,7 @@ in the spin-flip (concurrence) construction.
 
 from __future__ import annotations
 
-import math
+import operator
 
 import numpy as np
 
@@ -45,10 +45,24 @@ SPIN_FLIP = np.array(
 )
 
 
+_PYTHON_POW = np.frompyfunc(operator.pow, 2, 1)
+
+
+def power(x, y):
+    """x ** y elementwise as Python powers floats (libm pow; numpy's x * x
+    for a square differs from it in the last bit).  An overflow raises
+    Python's OverflowError, with `index`, the flat index of the first."""
+    try:
+        return np.asarray(_PYTHON_POW(x, y), dtype=float)
+    except OverflowError as exc:
+        with np.errstate(over="ignore"):
+            exc.index = int(np.argmax(np.isinf(np.power(x, y)) & np.isfinite(x)))
+        raise
+
+
 def pow2(x):
-    """x ** 2 elementwise through libm pow, as Python squares a float; numpy
-    array powers give x * x, which differs from pow in the last bit."""
-    return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, 2.0), dtype=float)
+    """x ** 2 elementwise, as Python squares a float (see power)."""
+    return power(x, 2.0)
 
 
 def as_matrix4(m):

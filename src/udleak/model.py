@@ -14,14 +14,18 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .linalg import pow2
+
 
 class ConfigError(ValueError):
-    """Raised by validate_config with field-level messages."""
+    """Raised by validate_config with field-level messages; `index` is the
+    flat index of the failing point in a stacked config (0 for a single)."""
 
-    def __init__(self, messages):
+    def __init__(self, messages, index=0):
         if isinstance(messages, str):
             messages = [messages]
         self.messages = list(messages)
+        self.index = index
         super().__init__("; ".join(self.messages))
 
 
@@ -96,9 +100,12 @@ class ValidatedScenario:
 def validate_config(pair, field_spec, state, switching, units=None):
     """Check every invariant and return a ValidatedScenario.
 
-    channel_open records whether DeltaE > m c^2, i.e. whether the
-    propagating (on-shell) channel is available; the exact threshold
-    DeltaE = m c^2 counts as closed.
+    A stacked config (numeric fields as arrays over the points, as from
+    stack_points) is checked as one batch, each check a mask; the first
+    failing point in grid order raises with its `index` and the messages
+    it would raise alone.  channel_open records whether DeltaE > m c^2,
+    i.e. whether the propagating (on-shell) channel is available; the
+    exact threshold DeltaE = m c^2 counts as closed.
     """
     units = units or UnitSystem()
     numbers = {
@@ -109,57 +116,62 @@ def validate_config(pair, field_spec, state, switching, units=None):
     }
     if switching.sigma is not None:
         numbers["switching.sigma"] = switching.sigma
-    # NaN fails every comparison below and inf passes them; stop here first
-    errors = [f"{name} must be finite, got {value}"
-              for name, value in numbers.items() if not math.isfinite(value)]
-    if errors:
-        raise ConfigError(errors)
+    shape = np.broadcast(*numbers.values()).shape
+    # (passes, message, the value it names) per check; NaN fails every
+    # comparison and inf passes them, so a point with a non-finite value is
+    # named by the finiteness checks alone
+    finite = [(np.isfinite(value), f"{name} must be finite, got {{}}", value)
+              for name, value in numbers.items()]
+    failed = np.zeros(shape, dtype=bool)
+    for ok, _, _ in finite:
+        failed |= ~ok
+    # a square that overflows raises, as in Python, but only where the
+    # finiteness checks pass
+    alpha, gamma = (np.where(failed, 0.0, v) for v in (state.alpha, state.gamma))
+    norm = pow2(alpha) + pow2(gamma)
+    checks = [
+        (units.c > 0, "units.c must be positive, got {}", units.c),
+        (pair.delta_e > 0, "pair.delta_e must be positive, got {}", pair.delta_e),
+        (pair.coupling_a >= 0, "pair.coupling_a must be >= 0, got {}", pair.coupling_a),
+        (pair.coupling_b >= 0, "pair.coupling_b must be >= 0, got {}", pair.coupling_b),
+        (pair.distance >= 0, "pair.distance must be >= 0, got {}", pair.distance),
+        (pair.trajectory == "static", "pair.trajectory must be 'static', got {!r}",
+         pair.trajectory),
+        (field_spec.mass >= 0, "field.mass must be >= 0, got {}", field_spec.mass),
+        (field_spec.state == "minkowski-vacuum",
+         "field.state must be 'minkowski-vacuum', got {!r}", field_spec.state),
+        (abs(norm - 1.0) <= NORMALIZATION_TOL,
+         "state amplitudes not normalized: alpha^2 + gamma^2 = {!r}", norm),
+        (state.alpha >= 0,
+         "state.alpha must be >= 0 (sign convention: gamma carries the sign)", None),
+        (switching.kind != GAUSSIAN or (switching.sigma is not None
+                                         and switching.sigma > 0),
+         "switching.sigma must be positive for gaussian kind, got {}", switching.sigma),
+        (switching.kind in (ETERNAL, GAUSSIAN),
+         "switching.kind must be 'eternal' or 'gaussian', got {!r}", switching.kind),
+    ]
+    for ok, _, _ in checks:
+        failed |= ~np.asarray(ok, dtype=bool)
+    if failed.any():
+        k = int(np.argmax(failed))
+        # point k's plain Python value (a value shared by every point as is)
+        at = lambda v: np.broadcast_to(np.asarray(v).astype(object), shape).flat[k]
+        errors = [message.format(at(value)) for ok, message, value in finite if not at(ok)]
+        errors = errors or [message.format(at(value))
+                            for ok, message, value in checks if not at(ok)]
+        raise ConfigError(errors, index=k)
 
-    if not units.c > 0:
-        errors.append(f"units.c must be positive, got {units.c}")
-    if not pair.delta_e > 0:
-        errors.append(f"pair.delta_e must be positive, got {pair.delta_e}")
-    if pair.coupling_a < 0:
-        errors.append(f"pair.coupling_a must be >= 0, got {pair.coupling_a}")
-    if pair.coupling_b < 0:
-        errors.append(f"pair.coupling_b must be >= 0, got {pair.coupling_b}")
-    if pair.distance < 0:
-        errors.append(f"pair.distance must be >= 0, got {pair.distance}")
-    if pair.trajectory != "static":
-        errors.append(f"pair.trajectory must be 'static', got {pair.trajectory!r}")
-    if field_spec.mass < 0:
-        errors.append(f"field.mass must be >= 0, got {field_spec.mass}")
-    if field_spec.state != "minkowski-vacuum":
-        errors.append(f"field.state must be 'minkowski-vacuum', got {field_spec.state!r}")
-
-    norm = state.alpha**2 + state.gamma**2
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        errors.append(
-            f"state amplitudes not normalized: alpha^2 + gamma^2 = {norm!r}"
-        )
-    if state.alpha < 0:
-        errors.append("state.alpha must be >= 0 (sign convention: gamma carries the sign)")
-
-    if switching.kind == GAUSSIAN:
-        if switching.sigma is None or not switching.sigma > 0:
-            errors.append(f"switching.sigma must be positive for gaussian kind, got {switching.sigma}")
-    elif switching.kind == ETERNAL:
-        pass
-    else:
-        errors.append(f"switching.kind must be 'eternal' or 'gaussian', got {switching.kind!r}")
-
-    if errors:
-        raise ConfigError(errors)
-
-    channel_open = pair.delta_e > field_spec.mass * units.c**2
+    with np.errstate(over="ignore"):   # m c^2 may reach inf, as in Python
+        channel_open = pair.delta_e > field_spec.mass * pow2(units.c)
     return ValidatedScenario(
         pair=pair,
         field=field_spec,
         state=state,
         switching=switching,
         units=units,
-        channel_open=channel_open,
+        channel_open=channel_open if shape else bool(channel_open),
     )
+
 
 
 def bell_state(sign=+1):

@@ -84,6 +84,20 @@ def test_eternal_batch_equals_each_point(points):
         scenarios, [eternal_integral_set(sc) for sc in scenarios])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_ETERNAL_POINT, min_size=1, max_size=12))
+def test_stacked_validation_and_closed_forms_equal_each_point(points):
+    scenarios = [_scenario(de, de if at_threshold else mass, d, *state)
+                 for de, mass, at_threshold, d, state in points]
+    # the stacked config: every numeric field an array, units.c included
+    config = stack_points(scenarios)
+    grid = validate_config(config.pair, config.field, config.state,
+                           config.switching, config.units)
+    assert [repr(sc) for sc in unstack(grid)] == [repr(sc) for sc in scenarios]
+    assert ([repr(ints) for ints in unstack(eternal_integral_set(grid))]
+            == [repr(eternal_integral_set(sc)) for sc in scenarios])
+
+
 # (delta_e, mass, distance, sigma): the integral sets do not depend on the
 # amplitudes or couplings, so a few windows computed once serve every point
 _WINDOWS = ((1.0, 0.0, 0.5, 1.0), (1.2, 0.4, 0.0, 1.5), (0.9, 0.3, 1.2, 2.0))

@@ -250,6 +250,9 @@ BAD_VALUES = [
     (["--sigma", "1e-300"], "overflowed"),
     (["--c-light", "1e-300", "--distance", "0"], "overflowed"),
     (["--mode", "eternal", "--c-light", "1e-300"], "overflowed"),
+    (["--mode", "eternal", "--c-light", "1e-300", "--sweep", "alpha=0:1:3"],
+     "alpha=0.0"),
+    (["--mode", "eternal", "--sweep", "coupling_a=0:1e200:3"], "coupling_a=5e+199"),
 ]
 
 
@@ -294,6 +297,51 @@ def test_coincident_gaussian_trace_holds_at_large_coupling(capsys):
     assert main(["--mode", "gaussian", "--sigma", "1", "--coupling-a", "0.5",
                  "--coupling-b", "0.5", "--distance", "0"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# the first failing point in grid order reports, whichever stage fails it
+FIRST_FAILURES = {
+    "invalid-sweep-point": (
+        ["--sweep", "delta_e=1:2:2", "--sweep", "alpha=0.5:1.5:3"], 1,
+        "udleak: invalid scenario: state amplitudes not normalized: "
+        "alpha^2 + gamma^2 = 2.25 at delta_e=1.0, alpha=1.5"),
+    # P'' overflows at the second point, before the alpha = 2 points
+    "overflow-before-invalid": (
+        ["--sweep", "alpha=0:2:3", "--sweep", "delta_e=1:1e300:2"], 1,
+        "udleak: computation overflowed at delta_e=1e+300, mass=0.0, "
+        "distance=0.0, coupling_a=0.1, coupling_b=0.1, alpha=0.0: "
+        "P'' = inf is not finite"),
+    "invalid-before-overflow": (
+        ["--sweep", "delta_e=1:1e300:2", "--sweep", "alpha=0:2:3"], 1,
+        "udleak: invalid scenario: state amplitudes not normalized: "
+        "alpha^2 + gamma^2 = 4.0 at delta_e=1.0, alpha=2.0"),
+    "nonconvergence-before-invalid": (
+        ["--mode", "gaussian", "--sigma", "1", "--distance", "0.5",
+         "--sweep", "alpha=0:2:3", "--sweep", "mass=0:1e150:2"], 2,
+        "udleak: quadrature non-convergence: entry Y_AB error estimate "
+        "1.542e+72 exceeds tol 1.000e-08 at alpha=0.0, mass=1e+150"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_FAILURES))
+def test_first_failing_point_reports(capsys, name):
+    argv, code, line = FIRST_FAILURES[name]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_overflowing_square_stays_silent(capsys):
+    # m c^2 squares to inf, as a Python float does, with no numpy warning
+    argv = ["--mode", "eternal", "--sweep", "mass=0:1e300:3"]
+    code, text = _run(argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = text.splitlines()[1:]
+    alone = [_run(["--mode", "eternal", "--mass", m])[1].splitlines()[1]
+             for m in ("0", "5e299", "1e300")]
+    assert rows == alone
 
 
 def test_overflow_names_the_point(capsys):

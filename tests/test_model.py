@@ -4,7 +4,7 @@ import pytest
 
 from udleak.model import (ETERNAL, GAUSSIAN, ConfigError, DetectorPairConfig,
                           FieldSpec, InitialState, SwitchingSpec, UnitSystem,
-                          bell_state, validate_config)
+                          bell_state, stack_points, validate_config)
 
 
 def _pair(**kw):
@@ -96,3 +96,26 @@ def test_shielded_coupling_allowed():
     sc = validate_config(_pair(coupling_b=0.0), FieldSpec(), bell_state(),
                          SwitchingSpec())
     assert sc.pair.coupling_b == 0.0
+
+
+BAD_POINTS = {
+    "negative-gap": (_pair(delta_e=-1.0), FieldSpec(), bell_state()),
+    "nan-coupling": (_pair(coupling_a=math.nan), FieldSpec(mass=-1.0), bell_state()),
+    "three-messages": (_pair(delta_e=-1.0, coupling_a=-0.1), FieldSpec(mass=-2.0),
+                       bell_state()),
+    "not-normalized": (_pair(), FieldSpec(), InitialState(alpha=0.8, gamma=0.7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_POINTS))
+def test_stacked_bad_point_raises_its_own_messages(name):
+    with pytest.raises(ConfigError) as alone:
+        validate_config(*BAD_POINTS[name], SwitchingSpec())
+    good = (_pair(), FieldSpec(mass=0.5), bell_state(-1))
+    # the bad point third, and a later bad point that must not report
+    points = [good, good, BAD_POINTS[name], good, BAD_POINTS["negative-gap"]]
+    with pytest.raises(ConfigError) as stacked:
+        validate_config(*(stack_points(list(fields)) for fields in zip(*points)),
+                        SwitchingSpec())
+    assert stacked.value.messages == alone.value.messages
+    assert stacked.value.index == 2
