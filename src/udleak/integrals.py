@@ -17,11 +17,13 @@ even window rather than from their ordered integrals: Re M = (P + P'')/2
 and, from trace preservation, Re Y_AB = P'_AB.  The imaginary part of
 the time-ordered cross term Y_AB (= xi_AB) is a Gaussian-weighted
 integral of the position-space kernel along u = tA - tB'.  At d > 0 it
-needs no regulator: massless, it is the light-cone delta alone; massive,
-the remainder past the cone is smooth and is integrated at eps = 0.  At
-d = 0 Y_AB is UV-divergent, and Im G is integrated with the regulator in
-place and extrapolated to eps -> 0 from QuadratureSettings.eps_list (the
-CLI's --epsilon); that number depends on the regulator, a known defect.
+needs no regulator: the kernel's proper-time form turns it into one
+positive, non-oscillating integral, closed when massless (the light-cone
+delta) and on the same gated panel rule as the radial entries when
+massive.  At d = 0 Y_AB is UV-divergent, and Im G is integrated with the
+regulator in place and extrapolated to eps -> 0 from
+QuadratureSettings.eps_list (the CLI's --epsilon); that number depends on
+the regulator, a known defect, and is the only scipy quad left.
 
 A brute-force evaluator of the raw definitions (nested time x time x
 radial-mode quadrature, no factorization) is provided as the independent
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, sici, wofz
+from scipy.special import sici, wofz
 
 from .linalg import pow2, power
 from .model import ETERNAL, GAUSSIAN, ValidatedScenario, stack_points, unstack
@@ -137,7 +139,6 @@ class QuadratureSettings:
     tol: float = 1e-8
     p_max: float | None = None       # default 10 max(dE, 1/sigma) / c
     eps_list: tuple = (2e-3, 1e-3)   # d = 0 Y_AB regulators, extrapolated to 0
-    window: float | None = None      # oracle time half-width, default 7 sigma
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -157,7 +158,7 @@ class QuadratureSettings:
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on first use: eternal runs and
-    massless Gaussian points at d > 0 never load scipy.integrate."""
+    Gaussian points at d > 0 never load scipy.integrate."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -216,20 +217,52 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
     return next(unstack(ints)) if single else ints
 
 
-@functools.cache
-def _legendre(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
 RADIAL_ENTRIES = ("P", "P''", "Pbar", "P*_AB", "X_AB", "P'_AB")
 
 
-def _finite_entries(val):
+def _finite_entries(val, names=RADIAL_ENTRIES):
     val = np.asarray(val)
     if not np.isfinite(val).all():
         k = int(np.argmin(np.isfinite(val)))
-        raise OverflowError(f"{RADIAL_ENTRIES[k]} = {val[k]} is not finite")
+        raise OverflowError(f"{names[k]} = {val[k]} is not finite")
     return val
+
+
+@functools.cache
+def _unit_rule(parts, n):
+    """Gauss-Legendre, n nodes on each of `parts` equal pieces of [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes = (np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts
+    return nodes.ravel(), np.tile(w / (2.0 * parts), parts)
+
+
+def _panel_integral(f, edges, tol, names, scale):
+    """scale int f over the panels between `edges`, f giving one row per
+    entry of `names` at the nodes: (values, error estimates).  Composite
+    Gauss-Legendre; the estimate is the change from the rule with half the
+    nodes, and until every entry passes err <= max(tol, 1e-14 |value|)
+    each panel is cut in twice as many pieces of 256 nodes, up to 64
+    (leggauss(n) is a dense n x n eigenproblem, so n stays at 256).
+    """
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+
+    def rule(parts, n):
+        u, w = _unit_rule(parts, n)
+        return scale * (f((lo + width * u).ravel()) @ (width * w).ravel())
+
+    coarse, parts = rule(1, 128), 1
+    while True:
+        val = _finite_entries(rule(parts, 256), names)
+        err = np.abs(val - coarse)
+        failing = ~(err <= np.maximum(tol, 1e-14 * np.abs(val)))
+        if not failing.any():
+            return val, err
+        if parts >= 64:
+            worst = int(np.argmax(np.where(failing, err, -1.0)))
+            raise QuadratureNonConvergence(
+                f"entry {names[worst]} error estimate {err[worst]:.3e} "
+                f"exceeds tol {tol:.3e}")
+        coarse, parts = val, 2 * parts
 
 
 def _massless_entries(scenario, p_max):
@@ -288,11 +321,9 @@ def _radial_entries(scenario, p_max, tol):
     RADIAL_ENTRIES order, with their error estimates.  Only massive points
     come here: at m = 0, _massless_entries has them in closed form.
 
-    Composite Gauss-Legendre on panels whose edges hold every peak of the
-    weights: the shell q, q +- 10/(sigma c) and 10/(sigma c), where a
-    squared window has fallen by e^-100.  The estimate is the change from
-    the half-size rule; the node count doubles, up to 2^14 per panel,
-    until it passes the gate.
+    Panel edges hold every peak of the weights: the shell q,
+    q +- 10/(sigma c) and 10/(sigma c), where a squared window has fallen
+    by e^-100 (see _panel_integral).
     """
     sw = scenario.switching
     c = scenario.units.c
@@ -304,42 +335,14 @@ def _radial_entries(scenario, p_max, tol):
     edges = np.unique([0.0, p_max] + [e for e in (q, q - width, q + width, width)
                                       if 0.0 < e < p_max])
 
-    def rule(parts, n):
-        # each panel cut into `parts` equal pieces, n nodes on each
-        t = np.arange(parts) / parts
-        cuts = np.append((edges[:-1, None] + np.diff(edges)[:, None] * t).ravel(), p_max)
-        mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
-        x, w = _legendre(n)
-        p = (mid[:, None] + half[:, None] * x).ravel()
+    def weights(p):
         e = np.sqrt((p * c) ** 2 + mc2 * mc2)
         plus = switching_fourier(sw, e + de)
         minus = switching_fourier(sw, e - de)
         f = np.array([plus * plus, minus * minus, plus * minus]) * (p * p / e)
-        wp = (half[:, None] * w).ravel()
-        return np.concatenate([f @ wp, f @ (wp * _sinc(p * d))]) / (4.0 * math.pi**2)
+        return np.concatenate([f, f * _sinc(p * d)])
 
-    # leggauss(n) solves a dense n x n eigenproblem, so a finer rule cuts
-    # the panels instead of raising n past 256
-    coarse, parts = rule(1, 128), 1
-    while True:
-        val = _finite_entries(rule(parts, 256))
-        err = np.abs(val - coarse)
-        failing = ~(err <= np.maximum(tol, 1e-14 * np.abs(val)))
-        if not failing.any():
-            return val, err
-        if parts >= 64:
-            worst = int(np.argmax(np.where(failing, err, -1.0)))
-            raise QuadratureNonConvergence(
-                f"entry {RADIAL_ENTRIES[worst]} error estimate {err[worst]:.3e} "
-                f"exceeds tol {tol:.3e}")
-        coarse, parts = val, 2 * parts
-
-
-def _finite(val, u):
-    # a NaN handed back to quad can crash it, so stop here instead
-    if not math.isfinite(val):
-        raise QuadratureNonConvergence(f"entry Y_AB integrand is {val} at u = {u!r}")
-    return val
+    return _panel_integral(weights, edges, tol, RADIAL_ENTRIES, 1.0 / (4.0 * math.pi**2))
 
 
 def _regulated_cross_term_im(scenario, settings, v_factor):
@@ -360,7 +363,10 @@ def _regulated_cross_term_im(scenario, settings, v_factor):
 
         def f(u):
             w = math.exp(-(u * u) / (4.0 * sigma * sigma))
-            return _finite(w * wightman_position(kern, u, 0.0).imag, u)
+            val = w * wightman_position(kern, u, 0.0).imag
+            if not math.isfinite(val):      # a NaN handed back to quad can crash it
+                raise QuadratureNonConvergence(f"entry Y_AB integrand is {val} at u = {u!r}")
+            return val
 
         im, eim = quad(f, 0.0, u_max, epsabs=tol, epsrel=1e-12, limit=800)
         return 2.0 * im, 2.0 * eim
@@ -382,21 +388,22 @@ def _feynman_cross_term_im(scenario, settings):
 
     In rotated coordinates u = tA - tB', v = tA + tB' the double integral
     splits exactly: a Gaussian v-integral v_factor (analytic) times
-    u0 = 2 int_0^inf du e^{-u^2/4 sigma^2} G(u, d), with G the time-ordered
-    kernel at eps -> 0, singular on the light cone u = x = d/c.
-
-    Massless, Im u0 is closed: the cone pole 1/(x^2 - u^2) contributes
-    -i pi delta(u - x)/(2x), the light-cone delta.  Massive, Im u0 adds
-    the remainder 2 int e^{-u^2/4 sigma^2} Im (G_m - G_0) du, which lives
-    past the cone only (w = i y there, and Im mu K_1(i mu y)/(i y) =
-    (pi/2) mu J_1(mu y)/y) and is smooth, so it is integrated at eps = 0.
+    u0 = 2 int_0^inf du e^{-u^2/4 sigma^2} G(u, d), G the time-ordered
+    kernel.  Its proper-time form G = k int_0^inf da e^{-a (x^2 - u^2) -
+    mu^2/4a} (x = d/c, mu = m c^2, k = 1/(4 pi^2 c^3)) leaves the u-integral
+    sqrt(pi/(b - a)), b = 1/(4 sigma^2), imaginary only for a > b (its sign
+    set by the i-eps); with a = b + t^2, Im u0 = -2 sqrt(pi) k
+    int_0^inf e^{-x^2 a - mu^2/4a} dt, which neither oscillates nor
+    cancels, and is -pi k e^{-x^2/4 sigma^2}/x massless.  Massive, s = x t
+    gives the exponent -A - r^2/A with A = s^2 + h^2, h = x/(2 sigma),
+    r = x mu/2 (no x^2 to underflow).  It peaks at A* = max(r, h^2), where
+    it is at most -A*, and falls below its peak by (A - A*)^2/A or more.
     At d = 0 the integral diverges and the regulated route is kept instead.
     """
     sigma = scenario.switching.sigma
     de = scenario.pair.delta_e
     c = scenario.units.c
     d = scenario.pair.distance
-    tol = settings.tol
 
     # int dv exp(-v^2/4s^2 - i dE v) -- even in dE, so xi_AB = Y_AB(-dE) = Y_AB
     v_factor = 2.0 * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
@@ -404,38 +411,31 @@ def _feynman_cross_term_im(scenario, settings):
         return _regulated_cross_term_im(scenario, settings, v_factor)
 
     x = d / c
-    k = 1.0 / (4.0 * math.pi**2 * c**3)         # G = k / w^2 when massless
-    s2 = 4.0 * sigma * sigma
-    u0 = 2.0 * k * (-math.pi * math.exp(-x * x / s2) / (2.0 * x))
-    err = 0.0
-
-    mu = scenario.field.mass * c**2
-    if mu > 0.0:
-        u_max = x + 13.0 * sigma
-        half_pi_mu = 0.5 * math.pi * mu
-
-        def integrand(u):
-            y = math.sqrt((u - x) * (u + x))
-            return _finite(k * math.exp(-u * u / s2) * half_pi_mu * j1(mu * y) / y, u)
-
-        # the error, times v_factor, targets tol in the coefficient; never
-        # looser than tol, since a loose target (tiny v_factor) lets quad's
-        # extrapolation stop early with a spurious "divergent" warning
-        epsabs = tol / max(1.0, 2.0 * v_factor)
-        # past the cone the kernel oscillates at frequency mu, about
-        # 2 mu sigma periods under the Gaussian: room for a few thousand
-        rem, rem_err = quad(integrand, x, u_max, epsabs=epsabs, epsrel=1e-12,
-                            limit=2000)
-        u0 += 2.0 * rem
-        err = v_factor * rem_err
-
-    im = 0.5 * v_factor * u0
-    if not math.isfinite(im):
-        raise OverflowError(f"Im Y_AB = {im} is not finite")
-    if not err <= max(tol, 1e-14 * abs(im)):
-        raise QuadratureNonConvergence(
-            f"entry Y_AB error estimate {err:.3e} exceeds tol {tol:.3e}")
-    return im, err
+    h = x / (2.0 * sigma)
+    r = 0.5 * x * scenario.field.mass * c**2
+    # Im Y_AB = 0.5 v_factor Im u0 = scale int_0^inf e^{-A - r^2/A} ds
+    scale = -math.sqrt(math.pi) * v_factor / (4.0 * math.pi**2 * c**3) / x
+    if r == 0.0:
+        # massless (or x mu below the smallest double): the light-cone delta
+        im = scale * 0.5 * math.sqrt(math.pi) * math.exp(-h * h)
+        if not math.isfinite(im):
+            raise OverflowError(f"Im Y_AB = {im} is not finite")
+        return im, 0.0
+    a_star = max(r, h * h)
+    if not a_star < 1000.0:
+        return 0.0, 0.0                 # the integrand, below e^-A*, underflows
+    peak = math.sqrt(a_star - h * h)
+    top = math.sqrt(peak * peak + 32.0 + 8.0 * math.sqrt(16.0 + a_star))
+    flank, lo = top - peak, max(h, r)
+    # past top, (A - A*)^2/A > 64; r^2/A turns over at s ~ lo, then closes
+    # like r^2/s^2 out to s ~ 1: edges 4^j lo there, where r shows
+    cuts = [lo * 4.0**j for j in range(math.ceil(-math.log(lo, 4.0)))] if r > 1e-16 else []
+    cuts += [peak - flank, peak - flank / 4, peak, peak + flank / 4]
+    edges = np.array(sorted({0.0, top, *(e for e in cuts if 0.0 < e < top)}))
+    (im,), (err,) = _panel_integral(
+        lambda s: np.exp(-s * s - h * h - (r / np.hypot(s, h)) ** 2)[None],
+        edges, settings.tol, ("Im Y_AB",), scale)
+    return float(im), float(err)
 
 
 def gaussian_integral_set(scenario: ValidatedScenario,
@@ -576,9 +576,7 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     # radial Gauss-Legendre nodes
     if n_p is None:
         n_p = int(min(420, max(96, 9.0 * p_max * max(sigma, 1.0))))
-    xg, wg = _legendre(n_p)
-    p_nodes = 0.5 * p_max * (xg + 1.0)
-    p_weights = 0.5 * p_max * wg
+    p_nodes, p_weights = (p_max * a for a in _unit_rule(1, n_p))
     e_nodes = np.sqrt((p_nodes * c) ** 2 + mc2 * mc2)
     measure = p_weights * p_nodes**2 / e_nodes * np.exp(-epsilon * e_nodes)
     if entry in ("Y_AB", "xi_AB") or (entry in _SEPARABLE and _SEPARABLE[entry][2]):

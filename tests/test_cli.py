@@ -315,11 +315,12 @@ FIRST_FAILURES = {
         ["--sweep", "delta_e=1:1e300:2", "--sweep", "alpha=0:2:3"], 1,
         "udleak: invalid scenario: state amplitudes not normalized: "
         "alpha^2 + gamma^2 = 4.0 at delta_e=1.0, alpha=2.0"),
+    # the massive point 10^4 widths apart is the first of the grid to fail
     "nonconvergence-before-invalid": (
-        ["--mode", "gaussian", "--sigma", "1", "--distance", "0.5",
-         "--sweep", "alpha=0:2:3", "--sweep", "mass=0:1e150:2"], 2,
-        "udleak: quadrature non-convergence: entry Y_AB error estimate "
-        "1.542e+72 exceeds tol 1.000e-08 at alpha=0.0, mass=1e+150"),
+        ["--mode", "gaussian", "--sigma", "1", "--distance", "1e4",
+         "--sweep", "alpha=0:2:3", "--sweep", "mass=0:0.4:2"], 2,
+        "udleak: quadrature non-convergence: entry X_AB error estimate "
+        "1.187e-07 exceeds tol 1.000e-08 at alpha=0.0, mass=0.4"),
 }
 
 
@@ -394,35 +395,59 @@ def _run_python(args):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("extra, code", [
-    # J_1(mu y) past the light cone oscillates far too fast for the Y_AB
-    # remainder to converge; no NaN may reach quad on the way
-    (["--mass", "1e150"], 2),
+@pytest.mark.parametrize("extra, line", [
+    # sinc(p d) turns over too often below p_max for the massive panels
+    (["--mass", "0.4", "--distance", "1e4"],
+     "udleak: quadrature non-convergence: entry X_AB"),
     # at d = 0 the regulated kernel is NaN: the integrand stops it
-    (["--mass", "1e150", "--distance", "0"], 2),
+    (["--mass", "1e150", "--distance", "0"],
+     "udleak: quadrature non-convergence: entry Y_AB integrand is nan"),
     # P scales as 1/c^3 and really overflows
-    (["--c-light", "1e-300"], 1),
-], ids=["huge-mass", "huge-mass-coincident", "tiny-c"])
-def test_failing_gaussian_point_prints_one_line(extra, code):
+    (["--c-light", "1e-300"], "udleak: computation overflowed"),
+    # 1/x overflows in Im Y_AB, closed (m = 0) or on the panel rule
+    (["--distance", "1e-310"], "udleak: computation overflowed"),
+    (["--mass", "0.4", "--distance", "1e-310"], "udleak: computation overflowed"),
+], ids=["far-massive", "huge-mass-coincident", "tiny-c", "subnormal-distance",
+        "subnormal-distance-massive"])
+def test_failing_gaussian_point_prints_one_line(extra, line):
     proc = _run_process(["--mode", "gaussian", "--sigma", "1",
                          "--distance", "0.5", *extra])
-    assert proc.returncode == code, proc.stderr
+    assert proc.returncode == (2 if "non-convergence" in line else 1), proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("udleak:"), proc.stderr
-    if code == 2:
-        assert lines[0].startswith("udleak: quadrature non-convergence: entry Y_AB")
+    assert len(lines) == 1 and lines[0].startswith(line), proc.stderr
+    if "1e-310" in extra:
+        assert lines[0].endswith(": Im Y_AB = -inf is not finite")
+
+
+@pytest.mark.parametrize("argv", [
+    # m c^2 sigma = 3.6e3: thousands of periods of the J_1 form of the kernel
+    ["--sigma", "7.23", "--mass", "292", "--distance", "0.0671",
+     "--delta-e", "0.242", "--c-light", "1.3"],
+    # x^2 underflows, (x t)^2 does not
+    ["--sigma", "1", "--mass", "0.4", "--distance", "1e-170"],
+    # the integrand peaks at e^{-x mu}, which underflows: Im Y_AB = 0
+    ["--sigma", "1", "--mass", "1e150", "--distance", "0.5"],
+    # m c^2 overflows to inf: still 0, not a NaN from inf/inf
+    ["--sigma", "1", "--mass", "1e300", "--distance", "0.5", "--c-light", "1e5"],
+], ids=["heavy-wide-window", "tiny-distance", "huge-mass", "overflowing-mass"])
+def test_extreme_massive_gaussian_point_exits_0(capsys, argv):
+    assert main(["--mode", "gaussian", *argv]) == 0
+    assert "non-convergence" not in capsys.readouterr().err
 
 
 def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():
-    # scipy.integrate is most of the import time, and these need no quad
+    # scipy.integrate is most of the import time, and no run at d > 0
+    # needs quad: massless or massive
     script = ("import contextlib, io, sys\n"
               "from udleak.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert main(['--mode', 'eternal']) == 0\n"
               "    assert main(['--mode', 'gaussian', '--sigma', '1',\n"
               "                 '--distance', '0.5']) == 0\n"
+              "    assert main(['--mode', 'gaussian', '--sigma', '1',\n"
+              "                 '--mass', '0.4', '--distance', '0.5']) == 0\n"
               "print('scipy.integrate' in sys.modules)\n")
     proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr

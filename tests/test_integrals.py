@@ -205,12 +205,67 @@ def test_massive_cross_term_matches_richardson_regulated_reference(sigma, mass, 
     assert abs(gaussian_integral_set(sc).y_ab.coeff - ref) < 1e-10
 
 
-def test_cross_term_nonconvergence_names_y_ab():
-    # J_1(mu y)/y past the cone: a spike of height ~mu^2 and width ~1/mu,
-    # then oscillations of period 2 pi/mu that no quad partition resolves
+def _t_form_im_y(sc):
+    """Im Y_AB from scipy quad on the proper-time form
+    -sqrt(pi) k v_factor int_0^inf e^{-x^2 a - mu^2/4a} dt, a = 1/4s^2 + t^2,
+    in pieces of the peak width 1/x around t* = sqrt(max(mu/2x - 1/4s^2, 0)),
+    and by factors of 4 around sqrt(b) and mu/2, where mu^2/4a turns over."""
+    sigma, c, d = sc.switching.sigma, sc.units.c, sc.pair.distance
+    x, mu, b = d / c, sc.field.mass * c * c, 1.0 / (4.0 * sigma**2)
+    psi = lambda t: -(x * t) ** 2 - x * x * b - mu * mu / (4.0 * (b + t * t))
+    t_star = math.sqrt(max(mu / (2.0 * x) - b, 0.0))
+    cuts = sorted({0.0, *(t for t in (t_star + j / x for j in range(-8, 9)) if t > 0.0),
+                   *(v * 4.0**j for j in range(-3, 4) for v in (math.sqrt(b), mu / 2.0))})
+    f = lambda t: math.exp(psi(t) - psi(t_star))
+    total = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for lo, hi in zip(cuts, cuts[1:]))
+    total += quad(f, cuts[-1], math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    k = 1.0 / (4.0 * math.pi**2 * c**3)
+    return -math.sqrt(math.pi) * k * _v_factor(sc) * total * math.exp(psi(t_star))
+
+
+@pytest.mark.parametrize("sigma, mass, d, de, c", [
+    (1.0, 0.4, 0.5, 1.0, 1.0), (2.0, 1.0, 0.5, 1.0, 1.0), (0.3, 5.0, 2.0, 1.0, 1.0),
+    (5.0, 1e-2, 0.05, 0.3, 1.0), (1.0, 0.4, 0.5, 1.0, 3.0),
+    # the peak at s* = 0 with r = h^2 = 30: a quartic, not a Gaussian, top
+    (1.0, math.sqrt(30.0), 2.0 * math.sqrt(30.0), 1.0, 1.0),
+    # m c^2 sigma = 2e3 and 3.6e3: thousands of periods of the J_1 form
+    (1.0, 2e3, 0.01, 1.0, 1.0), (7.23, 292.0, 0.0671, 0.242, 1.3),
+    # x mu = 2e-12 << 1 << mu sigma: a hole of width ~x mu/2 near s = 0
+    # whose edge closes like 1/s^2, on edges graded by factors of 4
+    (0.6, 1.13e10, 2e-22, 1.0, 1.0),
+])
+def test_massive_cross_term_matches_t_form_quad(sigma, mass, d, de, c):
+    sc = _scenario(kind=GAUSSIAN, sigma=sigma, mass=mass, d=d, de=de, c=c)
+    im, err = integrals._feynman_cross_term_im(sc, QuadratureSettings())
+    ref = _t_form_im_y(sc)
+    assert abs(im - ref) <= 1e-11 * abs(ref)
+    assert err <= max(1e-8, 1e-14 * abs(im))
+
+
+def test_tiny_mass_cross_term_meets_massless_closed_value():
+    # the t-form rule at m = 1e-8 against -pi k v e^{-x^2/4s^2}/(2x)
+    tiny = gaussian_integral_set(_scenario(kind=GAUSSIAN, sigma=1.0, mass=1e-8, d=0.5))
+    zero = gaussian_integral_set(_scenario(kind=GAUSSIAN, sigma=1.0, mass=0.0, d=0.5))
+    im, im0 = tiny.y_ab.coeff.imag, zero.y_ab.coeff.imag
+    assert abs(im - im0) <= 1e-12 * abs(im0)
+
+
+def test_huge_mass_cross_term_underflows_to_zero():
+    # the integrand peaks at e^{-x mu}, which underflows: 0 with no error
     sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=1e150, d=0.5)
-    with pytest.raises(QuadratureNonConvergence, match="entry Y_AB"):
-        gaussian_integral_set(sc)
+    assert integrals._feynman_cross_term_im(sc, QuadratureSettings()) == (0.0, 0.0)
+
+
+def test_cross_term_nonconvergence_names_y_ab(monkeypatch):
+    # no scenario found makes the Y_AB panel rule miss the gate, so a rule
+    # whose weights drift with the node count, and never settles, stands in
+    rule = integrals._unit_rule
+    monkeypatch.setattr(integrals, "_unit_rule", lambda parts, n: (
+        rule(parts, n)[0], rule(parts, n)[1] * (1.0 + 1e-9 * n * parts)))
+    sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=0.4, d=0.5)
+    with pytest.raises(QuadratureNonConvergence, match="entry Im Y_AB"):
+        integrals._feynman_cross_term_im(sc, QuadratureSettings())
 
 
 def test_gaussian_nonconvergence_names_entry():
