@@ -2,16 +2,17 @@
 
 A sweep is built as columns, one stacked scenario that is validated and
 (eternal mode) integrated in one pass; only the Gaussian quadrature runs
-point by point.  Output is deterministic: fixed float formatting (17
-significant digits), grid order follows sweep declaration order, no
-timestamps.  Exit codes: 0 success, 1 bad arguments (offending token
-named), an invalid scenario or a computation that overflowed, 2 quadrature
-non-convergence, a --validate tolerance breach or a failed trace or
-Hermiticity check of a density matrix, 3 a perturbative-regime error under
---strict; the first failing point in grid order is named.  A warning
-raised while a point's integrals are computed prints as one "udleak:
-warning:" line naming the point.  An --output file is written whole, and
-only on exit 0.
+point by point.  The CSV and the JSON are both written from one record of
+those columns.  Output is deterministic: CSV floats carry 17 significant
+digits, JSON floats are Python's shortest round-trip repr, grid order
+follows sweep declaration order, no timestamps.  Exit codes: 0 success,
+1 bad arguments (offending token named), an invalid scenario or a
+computation that overflowed, 2 quadrature non-convergence, a --validate
+tolerance breach or a failed trace or Hermiticity check of a density
+matrix, 3 a perturbative-regime error under --strict; the first failing
+point in grid order is named.  A warning raised while a point's integrals
+are computed prints as one "udleak: warning:" line naming the point.  An
+--output file is written whole, and only on exit 0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .density import PERTURBATIVE_FAIL, PERTURBATIVE_WARN
 from .entanglement import analyze
 from .integrals import (QuadratureNonConvergence, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
@@ -203,8 +205,16 @@ def parse_args(argv) -> RunPlan:
                        "pair is 2 x epsilon and epsilon")
     if not (0.0 <= plan.alpha <= 1.0):
         raise CliError(f"alpha must lie in [0, 1], got {plan.alpha}")
-    if plan.mode == GAUSSIAN and plan.sigma is None and not any(
-            s.name == "sigma" for s in plan.sweep):
+    swept = [s.name for s in plan.sweep]
+    for i, name in enumerate(swept):
+        # a sweep that adds no grid axis would print repeated rows
+        if name in swept[:i]:
+            raise CliError(f"sweep parameter {name!r} is swept twice")
+        if name == "sigma" and plan.mode != GAUSSIAN:
+            raise CliError("sweep parameter 'sigma' needs --mode gaussian")
+        if name == "coupling_b" and plan.shield_b:
+            raise CliError("sweep parameter 'coupling_b' is held at 0 by --shield-b")
+    if plan.mode == GAUSSIAN and plan.sigma is None and "sigma" not in swept:
         raise CliError("gaussian mode needs sigma (flag --sigma or a sweep)")
     return plan
 
@@ -272,29 +282,38 @@ def _at(columns: dict, i):
     return f" at {named}" if named else ""
 
 
-def _params_record(plan, sc):
-    """The scenario's values, keyed like the CSV's first columns."""
+def _record(plan, grid, report, ints):
+    """The output as one record of columns, nested as each JSON record is.
+    A leaf is an array over the points, an (n, k) array for a list of k
+    values per point, or one value shared by every point (mode, c, None)."""
     return {
-        "mode": plan.mode,
-        "delta_e": sc.pair.delta_e,
-        "mass": sc.field.mass,
-        "c": sc.units.c,
-        "distance": sc.pair.distance,
-        "coupling_a": sc.pair.coupling_a,
-        "coupling_b": sc.pair.coupling_b,
-        "alpha": sc.state.alpha,
-        "gamma": sc.state.gamma,
-        "sigma": sc.switching.sigma,
+        "params": {
+            "mode": plan.mode,
+            "delta_e": grid.pair.delta_e,
+            "mass": grid.field.mass,
+            "c": grid.units.c,
+            "distance": grid.pair.distance,
+            "coupling_a": grid.pair.coupling_a,
+            "coupling_b": grid.pair.coupling_b,
+            "alpha": grid.state.alpha,
+            "gamma": grid.state.gamma,
+            "sigma": grid.switching.sigma,
+        },
+        "report": {f.name: getattr(report, f.name) for f in fields(report)[1:]},
+        "integrals": {
+            name: {"re": v.coeff.real, "im": v.coeff.imag,
+                   "delta0_power": v.delta0_power, "err": v.err}
+            for name, v in ints.entries().items()
+        },
     }
 
 
-def _csv_text(plan, grid, report, n):
-    """CSV_HEADER and one row per point.  A column is an array over the
-    points or one value shared by all (mode, c, an empty cell); shared
-    cells are formatted once, and every row goes through one "%.17g" row
-    template in C-level % formatting."""
-    columns = (list(_params_record(plan, grid).values())
-               + [getattr(report, name) for name in CSV_HEADER.split(",")[10:]])
+def _csv_text(record, n):
+    """CSV_HEADER and one row per point, from the record's params and the
+    report columns the header names.  Shared cells are formatted once, and
+    every row goes through one "%.17g" row template in C-level % formatting."""
+    columns = (list(record["params"].values())
+               + [record["report"][name] for name in CSV_HEADER.split(",")[10:]])
     template, table = [], []
     for v in columns:
         if isinstance(v, np.ndarray):
@@ -307,57 +326,38 @@ def _csv_text(plan, grid, report, n):
     return CSV_HEADER + "\n" + (",".join(template) + "\n") * n % tuple(cells)
 
 
-def _json_record(params, report, ints):
-    integrals = {
-        name: {
-            "re": v.coeff.real,
-            "im": v.coeff.imag,
-            "delta0_power": v.delta0_power,
-            "err": v.err,
-        }
-        for name, v in ints.entries().items()
-    }
-    return {
-        "params": params,
-        "report": {f.name: getattr(report, f.name) for f in fields(report)[1:]},
-        "integrals": integrals,
-    }
-
-
-def _json_layout(obj, indent):
-    """json.dumps(obj, indent=2) of obj nested at `indent` (a newline and
-    spaces), with %s for each leaf; keys are strings."""
+def _json_layout(obj, indent, columns):
+    """json.dumps(obj, indent=2) of one point's record nested at `indent`
+    (a newline and spaces), with %s for each cell of an array leaf, whose
+    column goes to `columns`; keys are strings."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        obj = list(obj.T)
+    if isinstance(obj, np.ndarray):
+        columns.append(obj)
+        return "%s"
     inner = indent + "  "
     if isinstance(obj, dict):
-        parts = [json.dumps(k).replace("%", "%%") + ": " + _json_layout(v, inner)
-                 for k, v in obj.items()]
+        parts = [json.dumps(k).replace("%", "%%") + ": "
+                 + _json_layout(v, inner, columns) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        parts = [_json_layout(v, inner) for v in obj]
+        parts = [_json_layout(v, inner, columns) for v in obj]
     else:
-        return "%s"
+        return json.dumps(obj).replace("%", "%%")
     left, right = "{}" if isinstance(obj, dict) else "[]"
     return left + (inner + ("," + inner).join(parts) + indent if parts else "") + right
 
 
-def _json_leaves(obj, out):
-    for v in obj.values() if isinstance(obj, dict) else obj:
-        if isinstance(v, (dict, list, tuple)):
-            _json_leaves(v, out)
-        else:
-            out.append(v)
-
-
-def _json_text(rows):
-    """json.dumps(rows, indent=2) + "\n" byte for byte, for the records of
-    one plan, which share one shape.  json encodes in pure Python when
-    indent is set; here the layout comes from the first record, once, and
-    all leaves go through json's C encoder in one call."""
-    leaves = []
-    _json_leaves(rows, leaves)
+def _json_text(record, n):
+    """json.dumps(rows, indent=2) + "\n" byte for byte, where rows are the
+    n points' records.  json encodes in pure Python when indent is set;
+    here the record is laid out once, and the cells of its columns go
+    through json's C encoder in one call, row by row."""
+    columns = []
+    row = _json_layout(record, "\n  ", columns)
+    cells = np.array(columns, dtype=object).T.ravel().tolist()
     # encoded JSON never holds a raw NUL: ensure_ascii escapes it in strings
-    cells = json.dumps(leaves, separators=("\0", ":"))[1:-1].split("\0")
-    row = _json_layout(rows[0], "\n  ")
-    return ("[\n  " + ",\n  ".join([row] * len(rows)) + "\n]\n") % tuple(cells)
+    cells = json.dumps(cells, separators=("\0", ":"))[1:-1].split("\0")
+    return ("[\n  " + ",\n  ".join([row] * n) + "\n]\n") % tuple(cells)
 
 
 def _one_line_warnings(caught):
@@ -425,7 +425,7 @@ def run_plan(plan: RunPlan, out=None):
     tol = np.broadcast_to(_validate_tolerance(plan.mode, batch) if plan.validate
                           else np.inf, n)
     failed = batch.agreement > tol
-    strict = (batch.perturbative_indicator > 1.0) & plan.strict
+    strict = (batch.perturbative_indicator > PERTURBATIVE_FAIL) & plan.strict
     warn = ~batch.perturbative_ok
     for i in sorted(set(np.flatnonzero(failed | strict | warn).tolist()) | notes.keys()):
         here = _at(point, i)
@@ -435,23 +435,16 @@ def run_plan(plan: RunPlan, out=None):
             print("udleak: validation failed: closed-vs-numeric disagreement "
                   f"{batch.agreement[i]:.3e} exceeds {tol[i]:.3e}{here}",
                   file=sys.stderr)
+        indicator = f"{batch.perturbative_indicator[i]:.3e}"
         if warn[i]:
-            print("udleak: warning: perturbative indicator "
-                  f"{batch.perturbative_indicator[i]:.3e} exceeds 0.1{here}",
-                  file=sys.stderr)
+            print(f"udleak: warning: perturbative indicator {indicator} exceeds "
+                  f"{PERTURBATIVE_WARN:g}{here}", file=sys.stderr)
         if strict[i]:
-            print("udleak: perturbative expansion invalid (indicator "
-                  f"{batch.perturbative_indicator[i]:.3e} > 1) under --strict{here}",
-                  file=sys.stderr)
+            print(f"udleak: perturbative expansion invalid (indicator {indicator} > "
+                  f"{PERTURBATIVE_FAIL:g}) under --strict{here}", file=sys.stderr)
 
-    if plan.format == "csv":
-        text = _csv_text(plan, grid, batch, n)
-    else:
-        text = _json_text([
-            _json_record(_params_record(plan, sc), report, point_ints)
-            for sc, report, point_ints in zip(unstack(grid), unstack(batch),
-                                              unstack(ints))])
-    out.write(text)
+    write = _csv_text if plan.format == "csv" else _json_text
+    out.write(write(_record(plan, grid, batch, ints), n))
     return 3 if strict.any() else 2 if failed.any() else 0
 
 

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import udleak
@@ -161,6 +162,23 @@ def test_malformed_sweep_named():
 def test_gaussian_without_sigma_names_sigma():
     with pytest.raises(CliError, match="sigma"):
         parse_args(["--mode", "gaussian", "--delta-e", "1"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "eternal", "--sweep", "mass=0:0.5:2", "--sweep", "mass=0:1:3"],
+     "sweep parameter 'mass' is swept twice"),
+    (["--mode", "eternal", "--sweep", "sigma=1:2:2"],
+     "sweep parameter 'sigma' needs --mode gaussian"),
+    (["--mode", "eternal", "--shield-b", "--sweep", "coupling_b=0:1:3"],
+     "sweep parameter 'coupling_b' is held at 0 by --shield-b"),
+], ids=["swept-twice", "eternal-sigma", "shielded-coupling-b"])
+def test_sweep_that_adds_no_grid_axis_exits_1(tmp_path, capsys, argv, message):
+    # would print repeated rows; a sweep from the config file counts too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sweep = {argv[-1]}\n")
+    for args in (argv, argv[:-2] + ["--config", str(cfg)]):
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"udleak: error: {message}\n")
 
 
 def test_invalid_scenario_exits_1(capsys):
@@ -488,10 +506,18 @@ def test_scipy_warning_is_one_line_naming_the_point(capsys):
 WRITER_PLANS = {
     "eternal-sweep": ["--mode", "eternal", "--format", "json", "--sweep",
                       "mass=0:1:3", "--sweep", "distance=0:2:2"],
+    "eternal-point": ["--mode", "eternal", "--format", "json"],
     "gaussian-sweep": ["--mode", "gaussian", "--format", "json", "--sweep",
                        "sigma=1:2:2", "--sweep", "distance=0.5:1:2"],
     "one-point": ["--mode", "gaussian", "--sigma", "1", "--distance", "0.5",
                   "--format", "json"],
+    "d0-shielded": ["--mode", "gaussian", "--sigma", "1", "--distance", "0",
+                    "--shield-b", "--format", "json"],
+    # the plan of tests/golden/gaussian_massless_massive.json
+    "gaussian-golden": ["--mode", "gaussian", "--format", "json", "--validate",
+                        "--delta-e", "1", "--alpha", "0.7", "--sigma", "1",
+                        "--coupling-a", "0.1", "--coupling-b", "0.12",
+                        "--sweep", "mass=0:0.4:2", "--sweep", "distance=0.5:1.5:2"],
 }
 
 
@@ -502,21 +528,37 @@ def test_json_output_is_its_indent_2_encoding(name):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("name", ["eternal_mass_alpha.json",
-                                  "gaussian_massless_massive.json"])
-def test_json_writer_matches_json_on_goldens(name):
-    golden = pathlib.Path(__file__).parent / "golden" / name
-    rows = json.loads(golden.read_text())
-    assert cli._json_text(rows) == json.dumps(rows, indent=2) + "\n"
+def _on_arrays(record, f):
+    """The record with f applied to each array leaf."""
+    if isinstance(record, np.ndarray):
+        return f(record)
+    if isinstance(record, dict):
+        return {k: _on_arrays(v, f) for k, v in record.items()}
+    if isinstance(record, (list, tuple)):
+        return type(record)(_on_arrays(v, f) for v in record)
+    return record
 
 
 def test_json_writer_matches_json_on_every_leaf_kind():
-    leaves = [math.nan, math.inf, -math.inf, None, -0.0, 5e-324, 1e308, 0.1,
+    # each kind of leaf as one value shared by every point and as a column
+    # over the points (an (n, k) array is a k-element list per point)
+    shared = [math.nan, math.inf, -math.inf, None, -0.0, 5e-324, 1e308, 0.1,
               True, False, 0, -7, 2**70, "gaussian", "a%s\0\"\u00e9, b"]
-    rows = [{"params": {"%d": leaf, "x": [leaf, (leaf,)], "e": {}, "l": []},
-             "report": {"k": leaf}} for leaf in leaves]
-    for n in (1, len(rows)):
-        assert cli._json_text(rows[:n]) == json.dumps(rows[:n], indent=2) + "\n"
+    columns = [
+        np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1.0]),
+        np.array([True, False] * 4),
+        np.array([0, -7, 2**62, -1, 3, 4, 5, 6]),
+        np.array([None, 2**70, "gaussian", "a%s\0\"\u00e9, b", True, 0.5, -0.0,
+                  None], dtype=object),
+        np.arange(24.0).reshape(8, 3) / 7 - 1,
+    ]
+    record = {"params": {"%d": columns[0], "x": [columns[1], (columns[2], "%s")],
+                         "shared": shared, "e": {}, "l": [], "t": ((),)},
+              "report": {"k": columns[3], "pairs": columns[4], "%s": None}}
+    for n in (1, 2, 8):
+        cut = _on_arrays(record, lambda a: a[:n])
+        rows = [_on_arrays(cut, lambda a: a.tolist()[i]) for i in range(n)]
+        assert cli._json_text(cut, n) == json.dumps(rows, indent=2) + "\n"
 
 
 # each kind of RunPlan field: config lines, the same settings as flags, and
