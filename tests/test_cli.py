@@ -539,6 +539,28 @@ def _on_arrays(record, f):
     return record
 
 
+def _columns(values):
+    """The record of columns over the points whose records are `values`:
+    dicts and lists by key and position, a leaf as an object array."""
+    first = values[0]
+    if isinstance(first, dict):
+        return {k: _columns([v[k] for v in values]) for k in first}
+    if isinstance(first, list):
+        return [_columns([v[i] for v in values]) for i in range(len(first))]
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+@pytest.mark.parametrize("name", ["eternal_mass_alpha.json",
+                                  "gaussian_massless_massive.json"])
+def test_json_writer_matches_json_on_goldens(name):
+    golden = pathlib.Path(__file__).parent / "golden" / name
+    rows = json.loads(golden.read_text())
+    text = cli._json_text(_columns(rows), len(rows))
+    assert text == json.dumps(rows, indent=2) + "\n"
+
+
 def test_json_writer_matches_json_on_every_leaf_kind():
     # each kind of leaf as one value shared by every point and as a column
     # over the points (an (n, k) array is a k-element list per point)
