@@ -9,10 +9,11 @@ follows sweep declaration order, no timestamps.  Exit codes: 0 success,
 1 bad arguments (offending token named), an invalid scenario or a
 computation that overflowed, 2 quadrature non-convergence, a --validate
 tolerance breach or a failed trace or Hermiticity check of a density
-matrix, 3 a perturbative-regime error under --strict; the first failing
-point in grid order is named.  A warning raised while a point's integrals
-are computed prints as one "udleak: warning:" line naming the point.  An
---output file is written whole, and only on exit 0.
+matrix, 3 a perturbative-regime error under --strict.  A sweep that fails
+is replayed one point at a time in grid order, and the first point that
+fails alone is named, with its own error.  A warning raised while a
+point's integrals are computed prints as one "udleak: warning:" line
+naming the point.  An --output file is written whole, and only on exit 0.
 """
 
 from __future__ import annotations
@@ -216,6 +217,8 @@ def parse_args(argv) -> RunPlan:
             raise CliError("sweep parameter 'coupling_b' is held at 0 by --shield-b")
     if plan.mode == GAUSSIAN and plan.sigma is None and "sigma" not in swept:
         raise CliError("gaussian mode needs sigma (flag --sigma or a sweep)")
+    if plan.mode != GAUSSIAN and plan.sigma is not None:
+        raise CliError("--sigma needs --mode gaussian")
     return plan
 
 
@@ -223,7 +226,9 @@ def _grid(plan: RunPlan):
     """The grid as columns: (sweep point, every scenario value), each a
     dict of name -> array over the points (None for an unset value), in
     itertools.product order over the sweep axes, the first sweep outermost."""
-    axes = [np.linspace(spec.start, spec.stop, spec.steps) for spec in plan.sweep]
+    # an axis that overflows holds a non-finite point: validate_config names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [np.linspace(spec.start, spec.stop, spec.steps) for spec in plan.sweep]
     n = math.prod(len(axis) for axis in axes)
     point = {spec.name: column.ravel() for spec, column in
              zip(plan.sweep, np.meshgrid(*axes, indexing="ij"))}
@@ -236,16 +241,16 @@ def _grid(plan: RunPlan):
     return point, params
 
 
-def _integrated(plan, params, settings, caught):
-    """The validated grid of the columns `params`, its stacked integral set
-    and the one-line warnings per point (index -> lines).  Errors come as
-    if each point were set up, validated and integrated before the next:
-    the first failing point in grid order raises, with its `index`; a
-    stage that fails at point k re-runs the points before it, which may
-    fail in a later stage first."""
-    try:
-        alpha = params["alpha"]
-        sign = -1.0 if plan.gamma_sign == "-" else 1.0
+def _computed(plan, params, settings):
+    """Validate, integrate and analyse the columns `params`: the validated
+    grid, its stacked integral set, its report and the one-line warnings
+    per point (index -> lines).  A failing stage raises a contract
+    exception (_FAILURES) and names no point; run_plan replays the points
+    one by one to name it."""
+    alpha = params["alpha"]
+    sign = -1.0 if plan.gamma_sign == "-" else 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         grid = validate_config(
             DetectorPairConfig(*(params[k] for k in
                                  ("delta_e", "coupling_a", "coupling_b", "distance"))),
@@ -257,21 +262,36 @@ def _integrated(plan, params, settings, caught):
             UnitSystem(c=plan.c_light),
         )
         if plan.mode == ETERNAL:
-            return grid, eternal_integral_set(grid), {0: _one_line_warnings(caught)}
-    except (ConfigError, OverflowError) as exc:
-        if exc.index:
-            _integrated(plan, {k: None if v is None else v[:exc.index]
-                               for k, v in params.items()}, settings, caught)
-        raise
-    sets, notes = [], {}
-    for i, scenario in enumerate(unstack(grid)):
-        try:
-            sets.append(gaussian_integral_set(scenario, settings))
-        except (QuadratureNonConvergence, OverflowError, ZeroDivisionError) as exc:
-            exc.index = i
-            raise
-        notes[i] = _one_line_warnings(caught)
-    return grid, stack_points(sets), notes
+            ints, notes = eternal_integral_set(grid), {0: _one_line_warnings(caught)}
+        else:
+            sets, notes = [], {}
+            for i, scenario in enumerate(unstack(grid)):
+                sets.append(gaussian_integral_set(scenario, settings))
+                notes[i] = _one_line_warnings(caught)
+            ints = stack_points(sets)
+    with np.errstate(over="raise"):
+        return grid, ints, analyze(grid, settings, ints=ints), notes
+
+
+# the exceptions that end a run with an exit code and one line; an
+# ArithmeticError is an overflow, a division by zero or a raised
+# floating-point error
+_FAILURES = (ConfigError, QuadratureNonConvergence, MatrixCheckFailed, ArithmeticError)
+
+
+def _failure(exc, point, params, i):
+    """Print the one line of a contract exception raised by grid point i
+    of the columns (none named when they are empty); return its exit code."""
+    if isinstance(exc, ConfigError):
+        code, line = 1, f"invalid scenario: {exc}{_at(point, i)}"
+    elif isinstance(exc, QuadratureNonConvergence):
+        code, line = 2, f"quadrature non-convergence: {exc}{_at(point, i)}"
+    elif isinstance(exc, MatrixCheckFailed):   # a trace or Hermiticity check
+        code, line = 2, f"numeric check failed: {exc}{_at(params, i)}"
+    else:
+        code, line = 1, f"computation overflowed{_at(params, i)}: {exc}"
+    print(f"udleak: {line}", file=sys.stderr)
+    return code
 
 
 def _at(columns: dict, i):
@@ -374,8 +394,9 @@ def run_plan(plan: RunPlan, out=None):
     """Execute the grid and emit records; returns the exit code.  The grid
     is built, validated and (eternal) integrated as columns, the Gaussian
     integrals point by point, and all of it analysed as one stacked batch;
-    checks are masks over the batch's report.  Messages and records follow
-    in grid order."""
+    checks are masks over the batch's report.  A batch that fails is
+    replayed point by point, and the first point that fails alone reports.
+    Messages and records follow in grid order."""
     out = out if out is not None else sys.stdout
     settings = QuadratureSettings(
         tol=plan.quad_tol,
@@ -383,45 +404,21 @@ def run_plan(plan: RunPlan, out=None):
         eps_list=(2.0 * plan.epsilon, plan.epsilon),
     )
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        point, params = _grid(plan)
-        try:
-            grid, ints, notes = _integrated(plan, params, settings, caught)
-        except QuadratureNonConvergence as exc:
-            print(f"udleak: quadrature non-convergence: {exc}{_at(point, exc.index)}",
-                  file=sys.stderr)
-            return 2
-        except ConfigError as exc:
-            print(f"udleak: invalid scenario: {'; '.join(exc.messages)}"
-                  f"{_at(point, exc.index)}", file=sys.stderr)
-            return 1
-        except (OverflowError, ZeroDivisionError) as exc:
-            print(f"udleak: computation overflowed{_at(params, exc.index)}: {exc}",
-                  file=sys.stderr)
-            return 1
-    try:
-        with np.errstate(over="raise"):
-            batch = analyze(grid, settings, ints=ints)
-    except (OverflowError, FloatingPointError) as exc:
-        # the batch does not say which point overflowed: the first point
-        # that overflows alone does (a check may fail first at another)
-        for i, (sc, point_ints) in enumerate(zip(unstack(grid), unstack(ints))):
-            try:
-                with np.errstate(over="raise"):
-                    analyze(sc, ints=point_ints)
-            except (OverflowError, FloatingPointError):
-                break
-            except MatrixCheckFailed:
-                pass
-        print(f"udleak: computation overflowed{_at(params, i)}: {exc}", file=sys.stderr)
-        return 1
-    except MatrixCheckFailed as exc:   # a trace or Hermiticity check
-        print(f"udleak: numeric check failed: {exc}{_at(params, exc.index)}",
-              file=sys.stderr)
-        return 2
-
+    point, params = _grid(plan)
     n = len(params["alpha"])
+    try:
+        grid, ints, batch, notes = _computed(plan, params, settings)
+    except _FAILURES as exc:
+        # the batch does not say which point failed: the first point in
+        # grid order that fails alone does, with its own exception
+        for i in range(n):
+            try:
+                _computed(plan, {k: v if v is None else v[i:i + 1]
+                                 for k, v in params.items()}, settings)
+            except _FAILURES as own:
+                return _failure(own, point, params, i)
+        return _failure(exc, {}, {}, 0)
+
     tol = np.broadcast_to(_validate_tolerance(plan.mode, batch) if plan.validate
                           else np.inf, n)
     failed = batch.agreement > tol

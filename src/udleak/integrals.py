@@ -141,10 +141,10 @@ class QuadratureSettings:
     eps_list: tuple = (2e-3, 1e-3)   # d = 0 Y_AB regulators, extrapolated to 0
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.p_max is not None and not self.p_max > 0:
-            raise ValueError(f"p_max must be positive, got {self.p_max}")
+        for name in ("tol", "p_max"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def resolved_p_max(self, scenario):
         if self.p_max is not None:
@@ -186,7 +186,7 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
 
     A stacked scenario gives entries that are arrays over the points; a
     single one runs as a batch of one and gives plain numbers.  A
-    non-finite P'' raises OverflowError with `index`, the first such point.
+    non-finite P'' raises OverflowError, naming the first such value.
     """
     if scenario.switching.kind != ETERNAL:
         raise ValueError("eternal_integral_set requires eternal switching")
@@ -201,10 +201,7 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
         p_dd = root / (2.0 * c3)
         bad = ~np.isfinite(p_dd)
         if bad.any():
-            k = int(np.argmax(bad))
-            exc = OverflowError(f"P'' = {p_dd[k].item()} is not finite")
-            exc.index = k
-            raise exc
+            raise OverflowError(f"P'' = {p_dd[np.argmax(bad)].item()} is not finite")
         m_re = root / (4.0 * c3)
         x = p_dd * _sinc(root * sc.pair.distance / c)
 

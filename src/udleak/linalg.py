@@ -17,12 +17,8 @@ import numpy as np
 
 
 class MatrixCheckFailed(ValueError):
-    """A check failed on a stack; `index` is the flat index, over the
-    leading axes, of the matrix that failed it worst."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
+    """A check failed on a stack; the message gives the figures of the
+    matrix that failed it worst."""
 
 
 class NotHermitian(MatrixCheckFailed):
@@ -51,13 +47,8 @@ _PYTHON_POW = np.frompyfunc(operator.pow, 2, 1)
 def power(x, y):
     """x ** y elementwise as Python powers floats (libm pow; numpy's x * x
     for a square differs from it in the last bit).  An overflow raises
-    Python's OverflowError, with `index`, the flat index of the first."""
-    try:
-        return np.asarray(_PYTHON_POW(x, y), dtype=float)
-    except OverflowError as exc:
-        with np.errstate(over="ignore"):
-            exc.index = int(np.argmax(np.isinf(np.power(x, y)) & np.isfinite(x)))
-        raise
+    Python's OverflowError."""
+    return np.asarray(_PYTHON_POW(x, y), dtype=float)
 
 
 def pow2(x):
@@ -91,7 +82,7 @@ def hermitian_eigensystem(m, tol=1e-10):
 
     Rejects the stack if any matrix's anti-Hermitian part exceeds tol
     (a scalar or one tolerance per matrix) or is not finite, with the
-    index of the worst matrix (NotHermitian), symmetrizes away the allowed
+    figures of the worst matrix (NotHermitian), symmetrizes away the allowed
     residual and diagonalizes the whole stack with one LAPACK call.
     Columns of each returned matrix are the eigenvectors.
     """
@@ -105,7 +96,7 @@ def _check_hermitian(m, tol):
     worst = np.argmax(res - tol)   # argmax picks a NaN first
     res, tol = res.flat[worst], tol.flat[worst]
     if not res <= tol:   # a non-finite entry gives a NaN or inf residual: fails
-        raise NotHermitian(f"|m - m^dagger| = {res:.3e} exceeds tol {tol:.3e}", worst)
+        raise NotHermitian(f"|m - m^dagger| = {res:.3e} exceeds tol {tol:.3e}")
 
 
 def hermitian_eigenvalues(m, tol=1e-10):
@@ -154,10 +145,9 @@ def wootters_lambdas(rho, tol=1e-10):
     """
     rho = as_matrix4(rho)
     _check_hermitian(rho, tol)
-    off = np.ravel(abs(trace(rho).real - 1.0))
-    worst = np.argmax(off)
-    if off[worst] > 1e-8:
-        raise NotNormalized(f"trace(rho) is {off[worst]:.3e} away from 1, beyond 1e-8", worst)
+    off = np.max(abs(trace(rho).real - 1.0))
+    if off > 1e-8:
+        raise NotNormalized(f"trace(rho) is {off:.3e} away from 1, beyond 1e-8")
 
     root = _psd_sqrt(rho)
     return np.linalg.svd(root.conj() @ SPIN_FLIP @ root, compute_uv=False)

@@ -18,14 +18,12 @@ from .linalg import pow2
 
 
 class ConfigError(ValueError):
-    """Raised by validate_config with field-level messages; `index` is the
-    flat index of the failing point in a stacked config (0 for a single)."""
+    """Raised by validate_config with field-level messages."""
 
-    def __init__(self, messages, index=0):
+    def __init__(self, messages):
         if isinstance(messages, str):
             messages = [messages]
         self.messages = list(messages)
-        self.index = index
         super().__init__("; ".join(self.messages))
 
 
@@ -102,8 +100,8 @@ def validate_config(pair, field_spec, state, switching, units=None):
 
     A stacked config (numeric fields as arrays over the points, as from
     stack_points) is checked as one batch, each check a mask; the first
-    failing point in grid order raises with its `index` and the messages
-    it would raise alone.  channel_open records whether DeltaE > m c^2,
+    failing point in grid order raises with the messages it would raise
+    alone.  channel_open records whether DeltaE > m c^2,
     i.e. whether the propagating (on-shell) channel is available; the
     exact threshold DeltaE = m c^2 counts as closed.
     """
@@ -159,7 +157,7 @@ def validate_config(pair, field_spec, state, switching, units=None):
         errors = [message.format(at(value)) for ok, message, value in finite if not at(ok)]
         errors = errors or [message.format(at(value))
                             for ok, message, value in checks if not at(ok)]
-        raise ConfigError(errors, index=k)
+        raise ConfigError(errors)
 
     with np.errstate(over="ignore"):   # m c^2 may reach inf, as in Python
         channel_open = pair.delta_e > field_spec.mass * pow2(units.c)

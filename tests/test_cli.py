@@ -181,6 +181,17 @@ def test_sweep_that_adds_no_grid_axis_exits_1(tmp_path, capsys, argv, message):
         assert capsys.readouterr() == ("", f"udleak: error: {message}\n")
 
 
+@pytest.mark.parametrize("sigma", ["1", "-1"])
+def test_sigma_outside_gaussian_mode_exits_1(tmp_path, capsys, sigma):
+    # no window would use it; a config line counts too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sigma = {sigma}\n")
+    for args in (["--mode", "eternal", "--sigma", sigma], ["--config", str(cfg)],
+                 ["--config", str(cfg), "--mode", "eternal"]):
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "udleak: error: --sigma needs --mode gaussian\n")
+
+
 def test_invalid_scenario_exits_1(capsys):
     assert main(["--delta-e", "-1"]) == 1
     assert "delta_e" in capsys.readouterr().err
@@ -277,7 +288,9 @@ BAD_VALUES = [
 @pytest.mark.parametrize("extra, named", BAD_VALUES,
                          ids=[" ".join(extra) for extra, _ in BAD_VALUES])
 def test_bad_value_exits_1_with_one_line(capsys, extra, named):
-    assert main(GAUSSIAN_BASE + extra) == 1
+    # an eternal case gives its own --mode, and eternal mode rejects --sigma
+    base = GAUSSIAN_BASE[4:] if "eternal" in extra else GAUSSIAN_BASE
+    assert main(base + extra) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
@@ -339,6 +352,28 @@ FIRST_FAILURES = {
          "--sweep", "alpha=0:2:3", "--sweep", "mass=0:0.4:2"], 2,
         "udleak: quadrature non-convergence: entry X_AB error estimate "
         "1.187e-07 exceeds tol 1.000e-08 at alpha=0.0, mass=0.4"),
+    # the density matrix of the first point fails its Hermiticity check
+    # (the couplings squared, 1e10, times rounding) before the second point
+    # is found invalid
+    "check-before-invalid": (
+        ["--mode", "gaussian", "--sigma", "1", "--coupling-a", "1e5",
+         "--coupling-b", "1e5", "--distance", "0.5", "--sweep", "alpha=0.5:1.5:2"], 2,
+        "udleak: numeric check failed: |m - m^dagger| = 2.384e-07 exceeds tol "
+        "1.000e-08 at delta_e=1.0, mass=0.0, distance=0.5, coupling_a=100000.0, "
+        "coupling_b=100000.0, alpha=0.5, sigma=1.0"),
+    # both points fail the check; the first reports, not the worst
+    "first-check-not-worst": (
+        ["--mode", "gaussian", "--sigma", "1", "--coupling-a", "1e5",
+         "--distance", "0.5", "--sweep", "coupling_b=1e5:2e5:2"], 2,
+        "udleak: numeric check failed: |m - m^dagger| = 2.384e-07 exceeds tol "
+        "1.000e-08 at delta_e=1.0, mass=0.0, distance=0.5, coupling_a=100000.0, "
+        "coupling_b=100000.0, alpha=0.7071067811865475, sigma=1.0"),
+    "check-before-nonconvergence": (
+        ["--mode", "gaussian", "--sigma", "1", "--coupling-a", "1e5",
+         "--coupling-b", "1e5", "--distance", "1e4", "--sweep", "mass=0:0.4:2"], 2,
+        "udleak: numeric check failed: |m - m^dagger| = 5.960e-08 exceeds tol "
+        "1.000e-08 at delta_e=1.0, mass=0.0, distance=10000.0, coupling_a=100000.0, "
+        "coupling_b=100000.0, alpha=0.7071067811865475, sigma=1.0"),
 }
 
 
@@ -349,6 +384,22 @@ def test_first_failing_point_reports(capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
+
+
+def test_batch_failure_no_point_repeats_still_reports(monkeypatch, capsys):
+    # a failure of the whole sweep that no point repeats alone keeps its
+    # exit code and line, with no point named
+    analyze = cli.analyze
+
+    def batch_fails(grid, *args, **kwargs):
+        if len(grid.state.alpha) > 1:
+            raise udleak.linalg.NotHermitian("|m - m^dagger| = nan exceeds tol 1e-10")
+        return analyze(grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", batch_fails)
+    assert main(BASE + ["--sweep", "alpha=0:1:3"]) == 2
+    assert capsys.readouterr() == (
+        "", "udleak: numeric check failed: |m - m^dagger| = nan exceeds tol 1e-10\n")
 
 
 def test_overflowing_square_stays_silent(capsys):

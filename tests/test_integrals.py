@@ -276,6 +276,15 @@ def test_gaussian_nonconvergence_names_entry():
         gaussian_integral_set(sc)
 
 
+@pytest.mark.parametrize("knob", ["tol", "p_max"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_quadrature_settings_need_finite_positive_knobs(knob, value):
+    # an infinite tol would pass every gate: the m = 0.4, d = 1e4 point that
+    # cannot converge would return X_AB with an error above its value
+    with pytest.raises(ValueError, match=f"{knob} must be finite and positive"):
+        QuadratureSettings(**{knob: value})
+
+
 def test_gaussian_tiny_tol_meets_relative_floor():
     # tol below rounding: the 1e-14 relative floor of the gate takes over
     sc = _scenario(kind=GAUSSIAN, sigma=1.0)

@@ -118,4 +118,3 @@ def test_stacked_bad_point_raises_its_own_messages(name):
         validate_config(*(stack_points(list(fields)) for fields in zip(*points)),
                         SwitchingSpec())
     assert stacked.value.messages == alone.value.messages
-    assert stacked.value.index == 2
