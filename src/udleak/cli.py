@@ -33,7 +33,7 @@ from .density import PERTURBATIVE_FAIL, PERTURBATIVE_WARN
 from .entanglement import analyze
 from .integrals import (QuadratureNonConvergence, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
-from .linalg import MatrixCheckFailed, pow2
+from .linalg import MatrixCheckFailed
 from .model import (ETERNAL, GAUSSIAN, ConfigError, DetectorPairConfig,
                     FieldSpec, InitialState, SwitchingSpec, UnitSystem,
                     stack_points, unstack, validate_config)
@@ -54,7 +54,7 @@ VALIDATE_TOL_GAUSSIAN = 1e-6
 
 def _validate_tolerance(mode, report):
     base = VALIDATE_TOL_ETERNAL if mode == ETERNAL else VALIDATE_TOL_GAUSSIAN
-    return np.maximum(np.maximum(base, 4.0 * pow2(report.perturbative_indicator)),
+    return np.maximum(np.maximum(base, 4.0 * np.square(report.perturbative_indicator)),
                       10.0 * report.max_quad_error)
 
 
@@ -256,7 +256,7 @@ def _computed(plan, params, settings):
                                  ("delta_e", "coupling_a", "coupling_b", "distance"))),
             FieldSpec(mass=params["mass"]),
             InitialState(alpha=alpha,
-                         gamma=sign * np.sqrt(np.maximum(1.0 - pow2(alpha), 0.0))),
+                         gamma=sign * np.sqrt(np.maximum(1.0 - np.square(alpha), 0.0))),
             SwitchingSpec(kind=ETERNAL) if plan.mode == ETERNAL
             else SwitchingSpec(kind=GAUSSIAN, sigma=params["sigma"]),
             UnitSystem(c=plan.c_light),

@@ -106,8 +106,8 @@ def x_elements(state: InitialState, pair: DetectorPairConfig, ints: IntegralSet)
     out of scope and never reaches the entanglement measures).
     """
     a, g = state.alpha, state.gamma
-    ca2 = linalg.pow2(pair.coupling_a)
-    cb2 = linalg.pow2(pair.coupling_b)
+    ca2 = np.square(pair.coupling_a)
+    cb2 = np.square(pair.coupling_b)
     cab = pair.coupling_a * pair.coupling_b
 
     e = {k: v.coeff for k, v in ints.entries().items()}

@@ -71,21 +71,12 @@ def concurrence_numeric(rho: DensityMatrix4):
     return np.where(d > 0.0, d, 0.0)[()], lams
 
 
-def _cmul(u, v):
-    """u v rounding each real product on its own, as scalar complex
-    arithmetic does; numpy's vectorized multiply may fuse them (FMA)."""
-    out = np.empty(np.broadcast(u, v).shape, dtype=complex)
-    out.real = u.real * v.real - u.imag * v.imag
-    out.imag = u.real * v.imag + u.imag * v.real
-    return out
-
-
 def _two_by_two(tr_pair, cross):
     """Eigenvalue pair (s + t)/2 +- sqrt(((s-t)/2)^2 + cross)."""
     s, t = tr_pair
     half = 0.5 * (s + t)
     h = 0.5 * (s - t)
-    disc = np.sqrt(_cmul(h, h) + cross)
+    disc = np.sqrt(h * h + cross)
     return half + disc, half - disc
 
 
@@ -106,17 +97,17 @@ def pt_eigenvalues_closed(state, pair, ints: IntegralSet) -> PtEigenvalues:
     """
     a, g = state.alpha, state.gamma
     a1, a2, b1, b2, c1, c2, d1, d2 = x_elements(state, pair, ints)
-    hi, lo = _two_by_two((b1, c2), _cmul(a2, d1))
+    hi, lo = _two_by_two((b1, c2), a2 * d1)
     # label the outer pair so that l1 tracks the +(alpha gamma) bracket of
     # the expansion: for opposite-sign amplitudes the roles swap
     same_sign = a * g >= 0
     l1 = np.where(same_sign, hi, lo)
     l2 = np.where(same_sign, lo, hi)
-    l3, l4 = _two_by_two((a1, d2), _cmul(b2, c1))
+    l3, l4 = _two_by_two((a1, d2), b2 * c1)
     exact = np.stack([l1.real, l2.real, l3.real, l4.real], axis=-1)
 
-    ca2 = linalg.pow2(pair.coupling_a)
-    cb2 = linalg.pow2(pair.coupling_b)
+    ca2 = np.square(pair.coupling_a)
+    cb2 = np.square(pair.coupling_b)
     cab = pair.coupling_a * pair.coupling_b
     e = {k: v.coeff for k, v in ints.entries().items()}
     half_sum = 0.5 * (b1 + c2).real
@@ -144,12 +135,12 @@ def wootters_closed_exact(state, pair, ints: IntegralSet):
 
     def block(p, q, u, v):
         # p, q diagonal (a1, d2), u, v anti-diagonal (a2, d1)
-        su = linalg.pow2(np.hypot(u.real, u.imag))
-        sv = linalg.pow2(np.hypot(v.real, v.imag))
-        pq = _cmul(p, q).real
+        su = np.square(np.hypot(u.real, u.imag))
+        sv = np.square(np.hypot(v.real, v.imag))
+        pq = (p * q).real
         tr = su + sv + 2.0 * pq
-        disc = np.sqrt(np.maximum(linalg.pow2(su - sv)
-                                  + 4.0 * pq * (su + sv + 2.0 * _cmul(u, v).real), 0.0))
+        disc = np.sqrt(np.maximum(np.square(su - sv)
+                                  + 4.0 * pq * (su + sv + 2.0 * (u * v).real), 0.0))
         hi = np.maximum(0.5 * (tr + disc), 0.0)
         lo = np.maximum(0.5 * (tr - disc), 0.0)
         return np.sqrt(hi), np.sqrt(lo)
@@ -208,8 +199,8 @@ def leakage_rates(state, pair, ints: IntegralSet):
             "leakage rates need an eternal (delta0_power = 1) integral set"
         )
     a, g = state.alpha, state.gamma
-    ca2 = linalg.pow2(pair.coupling_a)
-    cb2 = linalg.pow2(pair.coupling_b)
+    ca2 = np.square(pair.coupling_a)
+    cb2 = np.square(pair.coupling_b)
     cab = pair.coupling_a * pair.coupling_b
     e = {k: v.coeff for k, v in ints.entries().items()}
     pdd_a = e["P''_A"].real

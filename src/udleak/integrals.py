@@ -38,9 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici, wofz
 
-from .linalg import pow2, power
 from .model import ETERNAL, GAUSSIAN, ValidatedScenario, stack_points, unstack
 from .wightman import PositionKernel, switching_fourier, wightman_position
 
@@ -193,11 +191,11 @@ def eternal_integral_set(scenario: ValidatedScenario) -> IntegralSet:
     single = np.ndim(scenario.state.alpha) == 0
     sc = stack_points([scenario]) if single else scenario
     c = sc.units.c
-    # Python floats overflow to inf, and 0 / 0 gives the NaN, silently
+    # an overflow gives inf and 0 / 0 the NaN silently; the check below names them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mc2 = sc.field.mass * pow2(c)
+        mc2 = sc.field.mass * np.square(c)
         root = np.sqrt(np.maximum(sc.pair.delta_e * sc.pair.delta_e - mc2 * mc2, 0.0))
-        c3 = power(c, 3.0)
+        c3 = c**3
         p_dd = root / (2.0 * c3)
         bad = ~np.isfinite(p_dd)
         if bad.any():
@@ -274,6 +272,7 @@ def _massless_entries(scenario, p_max):
     for b >= 0 only, so the Faddeeva w is evaluated where Im >= 0 and no
     e^{+s^2 b^2} forms.
     """
+    from scipy.special import wofz   # imported here: eternal runs load no scipy
     s = scenario.switching.sigma
     c = scenario.units.c
     de = scenario.pair.delta_e
@@ -596,6 +595,7 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
 
     tail = 0.0
     if entry in ("Y_AB", "xi_AB") and d > 0:
+        from scipy.special import sici
         si, _ = sici(p_max * d)
         tail = (-2j * sigma * math.sqrt(math.pi) * math.exp(-((sigma * de) ** 2))
                 / (4.0 * math.pi**2 * c * c * d) * (0.5 * math.pi - float(si)))

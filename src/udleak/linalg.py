@@ -11,8 +11,6 @@ in the spin-flip (concurrence) construction.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 
@@ -39,21 +37,6 @@ SPIN_FLIP = np.array(
     ],
     dtype=complex,
 )
-
-
-_PYTHON_POW = np.frompyfunc(operator.pow, 2, 1)
-
-
-def power(x, y):
-    """x ** y elementwise as Python powers floats (libm pow; numpy's x * x
-    for a square differs from it in the last bit).  An overflow raises
-    Python's OverflowError."""
-    return np.asarray(_PYTHON_POW(x, y), dtype=float)
-
-
-def pow2(x):
-    """x ** 2 elementwise, as Python squares a float (see power)."""
-    return power(x, 2.0)
 
 
 def as_matrix4(m):

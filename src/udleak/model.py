@@ -14,8 +14,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .linalg import pow2
-
 
 class ConfigError(ValueError):
     """Raised by validate_config with field-level messages."""
@@ -123,10 +121,8 @@ def validate_config(pair, field_spec, state, switching, units=None):
     failed = np.zeros(shape, dtype=bool)
     for ok, _, _ in finite:
         failed |= ~ok
-    # a square that overflows raises, as in Python, but only where the
-    # finiteness checks pass
-    alpha, gamma = (np.where(failed, 0.0, v) for v in (state.alpha, state.gamma))
-    norm = pow2(alpha) + pow2(gamma)
+    with np.errstate(over="ignore"):   # a square that overflows is inf: not normalized
+        norm = np.square(state.alpha) + np.square(state.gamma)
     checks = [
         (units.c > 0, "units.c must be positive, got {}", units.c),
         (pair.delta_e > 0, "pair.delta_e must be positive, got {}", pair.delta_e),
@@ -159,8 +155,8 @@ def validate_config(pair, field_spec, state, switching, units=None):
                             for ok, message, value in checks if not at(ok)]
         raise ConfigError(errors)
 
-    with np.errstate(over="ignore"):   # m c^2 may reach inf, as in Python
-        channel_open = pair.delta_e > field_spec.mass * pow2(units.c)
+    with np.errstate(over="ignore"):   # m c^2 may reach inf
+        channel_open = pair.delta_e > field_spec.mass * np.square(units.c)
     return ValidatedScenario(
         pair=pair,
         field=field_spec,

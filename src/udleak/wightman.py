@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv
 
 from .model import GAUSSIAN, SwitchingSpec
 
@@ -40,6 +39,7 @@ def bessel_k1(z):
     scipy.special.kv (AMOS), accurate to about 1e-15 relative against
     mpmath; the pole at z = 0 is rejected rather than returned as inf.
     """
+    from scipy.special import kv
     z = complex(z)
     if z == 0:
         raise ZeroDivisionError("K_1 diverges at z = 0")

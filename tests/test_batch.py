@@ -1,7 +1,12 @@
 """A sweep is analysed as one batch; each point must come out as if alone.
 
 The property tests stack random points into one batch and compare every
-report field with the same point analysed on its own, bit for bit.
+report field with the same point analysed on its own, bit for bit.  That
+holds because there is one path: a single point runs as a batch of one
+through the same numpy ufuncs.  The ufuncs need not round as Python's
+scalar arithmetic does (a vectorised complex multiply may fuse its
+products with FMA, and did for ~44% of random inputs on an AVX-512 build),
+but a batch and its one-element slices round alike.
 
 The golden files below were written by the CLI before the batched
 pipeline existed: an eternal JSON sweep (every report field, eigenvalue
@@ -17,7 +22,6 @@ import io
 import math
 import pathlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +29,6 @@ from hypothesis import strategies as st
 from udleak.cli import main
 from udleak.entanglement import analyze
 from udleak.integrals import eternal_integral_set, gaussian_integral_set
-from udleak.linalg import pow2
 from udleak.model import (ETERNAL, GAUSSIAN, DetectorPairConfig, FieldSpec,
                           InitialState, SwitchingSpec, stack_points, unstack,
                           validate_config)
@@ -122,13 +125,6 @@ def test_gaussian_batch_equals_each_point(points):
     scenarios = [_scenario(de, mass, d, *state, sigma=sigma)
                  for (de, mass, d, sigma), (_, state) in zip(de_mass_d_sigma, points)]
     _assert_batch_equals_points(scenarios, [_window_set(k) for k, _ in points])
-
-
-def test_pow2_squares_like_python_floats():
-    # libm pow(x, 2) may differ from x * x in the last bit; the closed forms
-    # square through pow2 so a batch reproduces Python's x ** 2
-    xs = np.random.default_rng(3).uniform(0.0, 1.0, 20000)
-    assert pow2(xs).tolist() == [x ** 2 for x in xs.tolist()]
 
 
 def _output(argv):

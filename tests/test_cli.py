@@ -282,6 +282,8 @@ BAD_VALUES = [
     (["--mode", "eternal", "--c-light", "1e-300", "--sweep", "alpha=0:1:3"],
      "alpha=0.0"),
     (["--mode", "eternal", "--sweep", "coupling_a=0:1e200:3"], "coupling_a=5e+199"),
+    (["--mode", "eternal", "--sweep", "alpha=0:1e200:3"],
+     "alpha^2 + gamma^2 = inf at alpha=5e+199"),
 ]
 
 
@@ -403,7 +405,7 @@ def test_batch_failure_no_point_repeats_still_reports(monkeypatch, capsys):
 
 
 def test_overflowing_square_stays_silent(capsys):
-    # m c^2 squares to inf, as a Python float does, with no numpy warning
+    # m c^2 squares to inf under over="ignore", with no numpy warning
     argv = ["--mode", "eternal", "--sweep", "mass=0:1e300:3"]
     code, text = _run(argv)
     assert code == 0
@@ -412,6 +414,15 @@ def test_overflowing_square_stays_silent(capsys):
     alone = [_run(["--mode", "eternal", "--mass", m])[1].splitlines()[1]
              for m in ("0", "5e299", "1e300")]
     assert rows == alone
+
+
+def test_overflowing_square_names_the_ufunc(capsys):
+    # analyze runs under np.errstate(over="raise"): C_A^2 overflows
+    assert main(["--mode", "eternal", "--coupling-a", "1e160"]) == 1
+    assert capsys.readouterr() == ("", (
+        "udleak: computation overflowed at delta_e=1.0, mass=0.0, distance=0.0, "
+        "coupling_a=1e+160, coupling_b=0.1, alpha=0.7071067811865475: "
+        "overflow encountered in square\n"))
 
 
 def test_overflow_names_the_point(capsys):
@@ -507,12 +518,14 @@ def test_extreme_massive_gaussian_point_exits_0(capsys, argv):
 
 
 def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():
-    # scipy.integrate is most of the import time, and no run at d > 0
-    # needs quad: massless or massive
+    # scipy is most of the import time: an eternal run loads none of it,
+    # and no Gaussian run at d > 0 needs quad, massless or massive
     script = ("import contextlib, io, sys\n"
               "from udleak.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert main(['--mode', 'eternal']) == 0\n"
+              "print('scipy' in sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert main(['--mode', 'gaussian', '--sigma', '1',\n"
               "                 '--distance', '0.5']) == 0\n"
               "    assert main(['--mode', 'gaussian', '--sigma', '1',\n"
@@ -520,7 +533,7 @@ def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():
               "print('scipy.integrate' in sys.modules)\n")
     proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\nFalse\n"
 
 
 def test_massless_oracle_skips_scipy_integrate():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -61,6 +62,17 @@ def test_normalization_enforced():
                         InitialState(alpha=0.8, gamma=0.7), SwitchingSpec())
 
 
+def test_overflowing_norm_is_a_config_error():
+    # alpha^2 overflows to inf, which is not normalized, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            validate_config(_pair(), FieldSpec(),
+                            InitialState(alpha=1e200, gamma=0.0), SwitchingSpec())
+    assert exc.value.messages == [
+        "state amplitudes not normalized: alpha^2 + gamma^2 = inf"]
+
+
 def test_alpha_sign_convention():
     with pytest.raises(ConfigError, match="alpha"):
         validate_config(_pair(), FieldSpec(),
@@ -104,6 +116,7 @@ BAD_POINTS = {
     "three-messages": (_pair(delta_e=-1.0, coupling_a=-0.1), FieldSpec(mass=-2.0),
                        bell_state()),
     "not-normalized": (_pair(), FieldSpec(), InitialState(alpha=0.8, gamma=0.7)),
+    "overflowing-norm": (_pair(), FieldSpec(), InitialState(alpha=1e200, gamma=0.0)),
 }
 
 
