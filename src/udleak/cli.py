@@ -330,18 +330,24 @@ def _record(plan, grid, report, ints):
 
 def _csv_text(record, n):
     """CSV_HEADER and one row per point, from the record's params and the
-    report columns the header names.  Shared cells are formatted once, and
-    every row goes through one "%.17g" row template in C-level % formatting."""
+    report columns the header names.  "%.17g" runs once per shared cell and
+    per distinct bit pattern of a column (its uint64 view keeps -0.0 apart
+    from 0.0); every row goes through one template in C-level % formatting."""
     columns = (list(record["params"].values())
                + [record["report"][name] for name in CSV_HEADER.split(",")[10:]])
     template, table = [], []
     for v in columns:
-        if isinstance(v, np.ndarray):
-            template.append("%s" if v.dtype == bool else "%.17g")
-            table.append(np.where(v, "true", "false") if v.dtype == bool else v)
-        else:
+        if not isinstance(v, np.ndarray):
             text = "" if v is None else v if isinstance(v, str) else "%.17g" % v
             template.append(text.replace("%", "%%"))
+        elif v.dtype == bool:
+            template.append("%s")
+            table.append(np.where(v, "true", "false"))
+        else:
+            bits, inverse = np.unique(v.view(np.uint64), return_inverse=True)
+            template.append("%s")
+            table.append(np.array(["%.17g" % x for x in bits.view(v.dtype)],
+                                  dtype=object)[inverse])
     cells = np.array(table, dtype=object).T.ravel().tolist()
     return CSV_HEADER + "\n" + (",".join(template) + "\n") * n % tuple(cells)
 

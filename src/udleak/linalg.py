@@ -5,8 +5,9 @@ Everything downstream works on stacks of 4x4 numpy arrays, shape
 is one (N, 4, 4) stack.  Checks and tolerances apply to each matrix on its
 own.  Eigen-decompositions go through LAPACK (numpy.linalg.eigh, one call
 per stack), which shares no code with the 2x2-block closed forms it is
-checked against; the same eigenvectors give the matrix square roots needed
-in the spin-flip (concurrence) construction.
+checked against.  A stack of density matrices costs 2 eigh calls (rho,
+whose eigenvectors give its square root for the spin-flip (concurrence)
+construction, and its partial transpose) and 1 svd (the spin-flip values).
 """
 
 from __future__ import annotations
@@ -111,12 +112,6 @@ def wootters_product(rho):
     return rho @ spin_flip(rho)
 
 
-def _psd_sqrt(m):
-    vals, vecs = hermitian_eigensystem(m, tol=1e-8)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
-
-
 def wootters_lambdas(rho, tol=1e-10):
     """Spin-flip eigenvalue lists lambda'_1 >= ... >= lambda'_4, shape (..., 4).
 
@@ -124,13 +119,14 @@ def wootters_lambdas(rho, tol=1e-10):
     so the lambda' are the singular values of conj(A) = R* (sy x sy) R,
     taken directly: no square root of an eigenvalue amplifies solver noise
     near zero.  Tiny negative eigenvalues of rho (second order truncation
-    artifacts) are clamped to zero in R.
+    artifacts) are clamped to zero in R.  NotHermitian (rho off by more
+    than tol) is raised before NotNormalized.
     """
     rho = as_matrix4(rho)
-    _check_hermitian(rho, tol)
+    vals, vecs = hermitian_eigensystem(rho, tol=tol)
     off = np.max(abs(trace(rho).real - 1.0))
     if off > 1e-8:
         raise NotNormalized(f"trace(rho) is {off:.3e} away from 1, beyond 1e-8")
 
-    root = _psd_sqrt(rho)
+    root = (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ dagger(vecs)
     return np.linalg.svd(root.conj() @ SPIN_FLIP @ root, compute_uv=False)

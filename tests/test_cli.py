@@ -647,6 +647,44 @@ def test_json_writer_matches_json_on_every_leaf_kind():
         assert cli._json_text(cut, n) == json.dumps(rows, indent=2) + "\n"
 
 
+def _csv_by_cell(record, n):
+    """The CSV of a record, each cell of each row formatted on its own."""
+    columns = (list(record["params"].values())
+               + [record["report"][name] for name in CSV_HEADER.split(",")[10:]])
+
+    def cell(v, i):
+        if isinstance(v, np.ndarray):
+            v = v[i].item()
+        return ("" if v is None else v if isinstance(v, str)
+                else "true" if v is True else "false" if v is False
+                else "%.17g" % v)
+
+    return CSV_HEADER + "\n" + "".join(",".join(cell(v, i) for v in columns) + "\n"
+                                       for i in range(n))
+
+
+def test_csv_writer_formats_each_cell_as_alone():
+    # -0.0 and 0.0 share a value but not a bit pattern; the extremes, a
+    # shared scalar, a None and a bool column sit beside repeated values
+    n = 8
+    signed_zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0])
+    extremes = np.array([5e-324, 1.7976931348623157e308, -5e-324, 0.1,
+                         5e-324, 0.1, -1.7976931348623157e308, 0.1])
+    repeated = np.repeat([0.25, 1 / 3], 4)
+    params = dict.fromkeys(CSV_HEADER.split(",")[:10], repeated)
+    params.update(mode="eternal", delta_e=signed_zeros, mass=extremes, c=299792458.0,
+                  distance=np.arange(n) % 3 / 7, sigma=None)
+    report = dict.fromkeys(CSV_HEADER.split(",")[10:], extremes[::-1].copy())
+    report.update(negativity=None, concurrence=-0.0,
+                  perturbative_ok=np.array([True, False, True, True] * 2),
+                  max_quad_error=np.zeros(n))
+    record = {"params": params, "report": report}
+    for k in (1, 3, n):
+        cut = _on_arrays(record, lambda a: a[:k])
+        assert cli._csv_text(cut, k) == _csv_by_cell(cut, k)
+    assert ",-0," in cli._csv_text(record, n)
+
+
 # each kind of RunPlan field: config lines, the same settings as flags, and
 # flags that override them, given before or after --config
 CONFIG_KINDS = {

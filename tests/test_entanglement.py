@@ -12,7 +12,7 @@ from udleak.integrals import (NotDistributional, eternal_integral_set,
                               gaussian_integral_set)
 from udleak.model import (ETERNAL, GAUSSIAN, DetectorPairConfig, FieldSpec,
                           InitialState, SwitchingSpec, bell_state,
-                          validate_config)
+                          stack_points, validate_config)
 
 
 def _scenario(de=1.0, mass=0.0, d=0.5, kind=ETERNAL, sigma=None, ca=0.1,
@@ -192,3 +192,20 @@ def test_analyze_gaussian_report():
 def test_analyze_flags_shielded():
     rep = analyze(_scenario(cb=0.0))
     assert rep.shielded
+
+
+def test_stacked_eternal_analyze_makes_two_eigh_calls_and_one_svd(monkeypatch):
+    # rho is diagonalized once, for its square root, and its partial
+    # transpose once; the spin-flip singular values take one svd
+    scenarios = [_scenario(de=1.0, mass=m, d=d, state=InitialState(alpha=a, gamma=g))
+                 for m in (0.0, 0.4) for d in (0.5, 2.0) for a, g in ((0.6, 0.8), (1.0, 0.0))]
+    grid = stack_points(scenarios)
+    ints = stack_points([eternal_integral_set(sc) for sc in scenarios])
+    calls = []
+    for name in ("eigh", "svd", "eigvals", "eigvalsh", "eig"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    report = analyze(grid, ints=ints)
+    assert sorted(calls) == ["eigh", "eigh", "svd"]
+    assert report.agreement.shape == (len(scenarios),)
