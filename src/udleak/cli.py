@@ -286,7 +286,7 @@ def _failure(exc, point, params, i):
         code, line = 1, f"invalid scenario: {exc}{_at(point, i)}"
     elif isinstance(exc, QuadratureNonConvergence):
         code, line = 2, f"quadrature non-convergence: {exc}{_at(point, i)}"
-    elif isinstance(exc, MatrixCheckFailed):   # a trace or Hermiticity check
+    elif isinstance(exc, MatrixCheckFailed):   # trace, Hermiticity or LAPACK
         code, line = 2, f"numeric check failed: {exc}{_at(params, i)}"
     else:
         code, line = 1, f"computation overflowed{_at(params, i)}: {exc}"

@@ -10,17 +10,22 @@ nonzero entries only on the diagonal and anti-diagonal, labelled
 
 with slot a1 carrying the doubly-excited weight gamma^2 after evolution
 (the slot identification that makes the initial-matrix corners and the
-evolved-element labels consistent at once).
+evolved-element labels consistent at once).  The element formulas are
+assembled here once; the closed-form measures read the entries back from
+the matrix's slots (X_SLOTS).
 
 In eternal mode the corrections are all proportional to delta(0); the
-matrix returned then holds the *stripped* coefficients (delta(0) -> 1)
-and is flagged with delta0_power = 1.  Downstream rate extraction and
+matrix then holds the *stripped* coefficients (delta(0) -> 1), as the
+integral set's delta0_power records.  Downstream rate extraction and
 closed-vs-numeric comparisons operate on exactly this stripped matrix.
+
+A matrix carries its perturbative indicator, max |rho - rho_0|; its
+Hermiticity and trace are gated by linalg's checks in the eigen-solves.
 
 Every function broadcasts over a leading grid axis: given a stacked state,
 pair and integral set (model.stack_points) the elements are arrays, the
-matrix a (..., 4, 4) stack, and each diagnostic and the delta0 power hold
-one value per matrix.  A single scenario is the 0-d case.
+matrix a (..., 4, 4) stack, and the indicator holds one value per matrix.
+A single scenario is the 0-d case.
 """
 
 from __future__ import annotations
@@ -33,45 +38,19 @@ from . import linalg
 from .integrals import IntegralSet
 from .model import DetectorPairConfig, InitialState
 
-X_MASK = np.array(
-    [
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-        [0, 1, 1, 0],
-        [1, 0, 0, 1],
-    ],
-    dtype=bool,
-)
 # matrix slots of a1, a2, b1, b2, c1, c2, d1, d2
-_X_SLOTS = ((0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3))
+X_SLOTS = ((0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3))
+X_MASK = np.zeros((4, 4), dtype=bool)
+X_MASK[tuple(zip(*X_SLOTS))] = True
 
 PERTURBATIVE_WARN = 0.1
 PERTURBATIVE_FAIL = 1.0
 
 
 @dataclass(frozen=True)
-class Diagnostics:
-    """Per matrix: max |m - m^dagger|, |Re tr - 1| + |Im tr|, max |m - rho_0|."""
-    hermiticity_residual: float
-    trace_residual: float
-    perturbative_indicator: float
-
-    @property
-    def perturbative_ok(self):
-        return self.perturbative_indicator <= PERTURBATIVE_WARN
-
-
-@dataclass(frozen=True)
 class DensityMatrix4:
     matrix: np.ndarray
-    delta0_power: int
-    diagnostics: Diagnostics
-
-
-def _diagnose(m, correction_scale):
-    tr = linalg.trace(m)
-    return Diagnostics(linalg.hermiticity_residual(m),
-                       abs(tr.real - 1.0) + abs(tr.imag), correction_scale)
+    perturbative_indicator: float   # max |m - rho_0|, per matrix
 
 
 def _projector(state: InitialState):
@@ -92,7 +71,7 @@ def _projector(state: InitialState):
 def initial_density(state: InitialState) -> DensityMatrix4:
     """Rank-one projector of the entangled start state."""
     m = _projector(state)
-    return DensityMatrix4(m, 0, _diagnose(m, 0.0))
+    return DensityMatrix4(m, 0.0)
 
 
 def x_elements(state: InitialState, pair: DetectorPairConfig, ints: IntegralSet):
@@ -149,16 +128,16 @@ def evolved_density(state: InitialState, pair: DetectorPairConfig,
     """Assemble the later-time X-matrix from an integral set.
 
     The delta0_power of the integral set decides the mode, point by point:
-    a power-1 set yields the stripped eternal matrix (flagged power 1), a
-    power-0 set the finite Gaussian-mode matrix.
+    a power-1 set yields the stripped eternal matrix, a power-0 set the
+    finite Gaussian-mode matrix.
     """
     elements = x_elements(state, pair, ints)
     m = np.zeros(np.broadcast(*elements).shape + (4, 4), dtype=complex)
-    for (i, j), value in zip(_X_SLOTS, elements):
+    for (i, j), value in zip(X_SLOTS, elements):
         m[..., i, j] = value
 
     indicator = np.max(np.abs(m - _projector(state)), axis=(-2, -1))
-    return DensityMatrix4(m, ints.delta0_power, _diagnose(m, indicator))
+    return DensityMatrix4(m, indicator)
 
 
 def check_x_structure(rho):

@@ -1,9 +1,11 @@
 """Negativity, concurrence, and their leakage rates.
 
-Every closed form is paired with a fully numeric route through the 4x4
-kernel (partial transpose + LAPACK eigensolver for negativity, the spin-flip
-construction for concurrence); reports carry the worst closed-vs-numeric
-discrepancy so disagreement is a loud diagnostic, not a silent drift.
+Both routes read one evolved X-matrix rho: the numeric route puts it
+through the 4x4 kernel (partial transpose + LAPACK eigensolver for
+negativity, the spin-flip construction for concurrence), the closed forms
+solve its 2x2 X-blocks by hand.  So the comparison checks the eigen-solves;
+reports carry the worst closed-vs-numeric discrepancy so disagreement is a
+loud diagnostic, not a silent drift.
 
 Eternal-mode measures are distributional, so only initial values and
 per-unit-time rates are reported there; Gaussian mode reports the finite
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .density import DensityMatrix4, evolved_density, x_elements
+from .density import (PERTURBATIVE_WARN, X_SLOTS, DensityMatrix4,
+                      evolved_density, x_elements)
 from .integrals import (IntegralSet, NotDistributional, QuadratureSettings,
                         eternal_integral_set, gaussian_integral_set)
 from .model import ETERNAL, ValidatedScenario, stack_points, unstack
@@ -80,58 +83,34 @@ def _two_by_two(tr_pair, cross):
     return half + disc, half - disc
 
 
-@dataclass(frozen=True)
-class PtEigenvalues:
-    exact: np.ndarray     # the 2x2-block closed forms, (..., 4): l1, l2, l3, l4
-    expanded: np.ndarray  # second-order expansions, (..., 4)
-    negative_index: int   # which of l1/l2 is the negative one
+def pt_eigenvalues_closed(rho: DensityMatrix4, same_sign):
+    """Partial-transpose spectrum of the X-matrix rho from its 2x2 blocks.
 
-
-def pt_eigenvalues_closed(state, pair, ints: IntegralSet) -> PtEigenvalues:
-    """Partial-transpose spectrum from the X-block closed forms.
-
-    exact: l_{1,2} = [(b1 + c2) +- sqrt((b1 - c2)^2 + 4 a2 d1)]/2 and the
-    analogous (a1, d2, b2, c1) pair.  expanded: keeps the signed product
-    alpha gamma in the bracket, so the minus branch (index 2) is negative
-    for same-sign amplitudes and the plus branch (index 1) for opposite.
+    l_{1,2} = [(b1 + c2) +- sqrt((b1 - c2)^2 + 4 a2 d1)]/2 and the
+    analogous (a1, d2, b2, c1) pair, read from rho's slots; shape (..., 4).
+    same_sign (alpha gamma >= 0, per matrix) orders the outer pair as
+    pt_eigenvalues_expanded does.  Returns the eigenvalues and the index of
+    the negative one: 2 (minus branch) for same-sign amplitudes, else 1.
     """
-    a, g = state.alpha, state.gamma
-    a1, a2, b1, b2, c1, c2, d1, d2 = x_elements(state, pair, ints)
+    a1, a2, b1, b2, c1, c2, d1, d2 = (rho.matrix[..., i, j] for i, j in X_SLOTS)
     hi, lo = _two_by_two((b1, c2), a2 * d1)
     # label the outer pair so that l1 tracks the +(alpha gamma) bracket of
     # the expansion: for opposite-sign amplitudes the roles swap
-    same_sign = a * g >= 0
     l1 = np.where(same_sign, hi, lo)
     l2 = np.where(same_sign, lo, hi)
     l3, l4 = _two_by_two((a1, d2), b2 * c1)
     exact = np.stack([l1.real, l2.real, l3.real, l4.real], axis=-1)
-
-    ca2 = np.square(pair.coupling_a)
-    cb2 = np.square(pair.coupling_b)
-    cab = pair.coupling_a * pair.coupling_b
-    e = {k: v.coeff for k, v in ints.entries().items()}
-    half_sum = 0.5 * (b1 + c2).real
-    bracket = a * g - (a * a * cab * e["xi_AB"]
-                       + g * g * cab * e["Y_AB"]
-                       + a * g * (ca2 * e["ReM_A"] + cb2 * e["ReM_B"])).real
-    # the inner pair has no displayed expansion (a1 - d2 is itself second
-    # order, so the cross term contributes at the same order); keep exact
-    expanded = np.stack([half_sum + bracket, half_sum - bracket,
-                         exact[..., 2], exact[..., 3]], axis=-1)
-
-    negative_index = np.where(same_sign, 2, 1)[()]
-    return PtEigenvalues(exact=exact, expanded=expanded,
-                         negative_index=negative_index)
+    return exact, np.where(same_sign, 2, 1)[()]
 
 
-def wootters_closed_exact(state, pair, ints: IntegralSet):
-    """Exact X-state lambda' quadruple from the element formulas.
+def wootters_closed_exact(rho: DensityMatrix4):
+    """Exact lambda' quadruple of the X-matrix rho from its slots.
 
     l'_{1,2}^2 = [(|a2|^2 + |d1|^2 + 2 a1 d2) +- sqrt((|a2|^2 - |d1|^2)^2
     + 4 a1 d2 (|a2|^2 + |d1|^2 + 2 Re(a2 d1)))] / 2, same shape for the
     inner block with (b1, c2, b2, c1).  Descending order, shape (..., 4).
     """
-    a1, a2, b1, b2, c1, c2, d1, d2 = x_elements(state, pair, ints)
+    a1, a2, b1, b2, c1, c2, d1, d2 = (rho.matrix[..., i, j] for i, j in X_SLOTS)
 
     def block(p, q, u, v):
         # p, q diagonal (a1, d2), u, v anti-diagonal (a2, d1)
@@ -147,6 +126,31 @@ def wootters_closed_exact(state, pair, ints: IntegralSet):
 
     lams = np.stack(block(a1, d2, a2, d1) + block(b1, c2, b2, c1), axis=-1)
     return np.sort(lams, axis=-1)[..., ::-1]
+
+
+def pt_eigenvalues_expanded(state, pair, ints: IntegralSet):
+    """The paper's second-order expansion of the outer partial-transpose pair.
+
+    l_{1,2} = (b1 + c2)/2 +- [alpha gamma - Re(alpha^2 C_A C_B xi_AB
+    + gamma^2 C_A C_B Y_AB + alpha gamma (C_A^2 Re M_A + C_B^2 Re M_B))],
+    shape (..., 2), in the order of pt_eigenvalues_closed: the signed
+    alpha gamma in the bracket makes the minus branch negative for
+    same-sign amplitudes.  The inner pair has no displayed expansion
+    (a1 - d2 is itself second order, so the cross term contributes at the
+    same order).  The reference for the closed forms at small coupling;
+    analyze does not compute it.
+    """
+    a, g = state.alpha, state.gamma
+    _, _, b1, _, _, c2, _, _ = x_elements(state, pair, ints)
+    ca2 = np.square(pair.coupling_a)
+    cb2 = np.square(pair.coupling_b)
+    cab = pair.coupling_a * pair.coupling_b
+    e = {k: v.coeff for k, v in ints.entries().items()}
+    half_sum = 0.5 * (b1 + c2).real
+    bracket = a * g - (a * a * cab * e["xi_AB"]
+                       + g * g * cab * e["Y_AB"]
+                       + a * g * (ca2 * e["ReM_A"] + cb2 * e["ReM_B"])).real
+    return np.stack([half_sum + bracket, half_sum - bracket], axis=-1)
 
 
 def concurrence_closed(state, pair, ints: IntegralSet):
@@ -240,29 +244,29 @@ def analyze(scenario: ValidatedScenario,
     neg_num, pt_num = negativity_numeric(rho)
     conc_num, w_num = concurrence_numeric(rho)
 
-    pt_closed = pt_eigenvalues_closed(state, pair, ints)
-    w_closed = wootters_closed_exact(state, pair, ints)
+    ag = state.alpha * state.gamma
+    pt_closed, negative_index = pt_eigenvalues_closed(rho, ag >= 0)
+    w_closed = wootters_closed_exact(rho)
 
     agreement = np.maximum(
-        np.max(np.abs(np.sort(pt_closed.exact, axis=-1) - pt_num), axis=-1),
+        np.max(np.abs(np.sort(pt_closed, axis=-1) - pt_num), axis=-1),
         np.max(np.abs(w_closed - w_num), axis=-1),
     )
 
-    ag = abs(state.alpha * state.gamma)
     report = dict(
         mode=scenario.switching.kind,
-        initial_negativity=ag,
-        initial_concurrence=2.0 * ag,
-        pt_eigenvalues_closed=pt_closed.exact,
+        initial_negativity=abs(ag),
+        initial_concurrence=2.0 * abs(ag),
+        pt_eigenvalues_closed=pt_closed,
         pt_eigenvalues_numeric=pt_num,
         wootters_closed=w_closed,
         wootters_numeric=w_num,
-        negative_pt_index=pt_closed.negative_index,
+        negative_pt_index=negative_index,
         shielded=(pair.coupling_b == 0.0),
         agreement=agreement,
         max_quad_error=ints.max_err,
-        perturbative_indicator=rho.diagnostics.perturbative_indicator,
-        perturbative_ok=rho.diagnostics.perturbative_ok,
+        perturbative_indicator=rho.perturbative_indicator,
+        perturbative_ok=rho.perturbative_indicator <= PERTURBATIVE_WARN,
     )
     if eternal:
         dn, dc = leakage_rates(state, pair, ints)

@@ -8,6 +8,8 @@ per stack), which shares no code with the 2x2-block closed forms it is
 checked against.  A stack of density matrices costs 2 eigh calls (rho,
 whose eigenvectors give its square root for the spin-flip (concurrence)
 construction, and its partial transpose) and 1 svd (the spin-flip values).
+A LAPACK routine that finds no decomposition (numpy's LinAlgError, e.g. on
+entries near 1e298) raises NotConverged, a failed check like the others.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ class NotHermitian(MatrixCheckFailed):
 
 
 class NotNormalized(MatrixCheckFailed):
+    pass
+
+
+class NotConverged(MatrixCheckFailed):
     pass
 
 
@@ -72,7 +78,15 @@ def hermitian_eigensystem(m, tol=1e-10):
     """
     m = as_matrix4(m)
     _check_hermitian(m, tol)
-    return np.linalg.eigh(0.5 * (m + dagger(m)))
+    return _lapack("eigh", 0.5 * (m + dagger(m)))
+
+
+def _lapack(name, m, **kwargs):
+    """np.linalg.<name>(m, **kwargs), its LinAlgError raised as NotConverged."""
+    try:
+        return getattr(np.linalg, name)(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"LAPACK {name} failed: {exc}") from None
 
 
 def _check_hermitian(m, tol):
@@ -129,4 +143,4 @@ def wootters_lambdas(rho, tol=1e-10):
         raise NotNormalized(f"trace(rho) is {off:.3e} away from 1, beyond 1e-8")
 
     root = (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ dagger(vecs)
-    return np.linalg.svd(root.conj() @ SPIN_FLIP @ root, compute_uv=False)
+    return _lapack("svd", root.conj() @ SPIN_FLIP @ root, compute_uv=False)

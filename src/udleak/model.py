@@ -62,7 +62,6 @@ class DetectorPairConfig:
     coupling_a: float
     coupling_b: float
     distance: float = 0.0
-    trajectory: str = "static"
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +69,6 @@ class FieldSpec:
     """Real scalar field of mass m (units E0/c^2) in the Minkowski vacuum."""
 
     mass: float = 0.0
-    state: str = "minkowski-vacuum"
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,11 +127,7 @@ def validate_config(pair, field_spec, state, switching, units=None):
         (pair.coupling_a >= 0, "pair.coupling_a must be >= 0, got {}", pair.coupling_a),
         (pair.coupling_b >= 0, "pair.coupling_b must be >= 0, got {}", pair.coupling_b),
         (pair.distance >= 0, "pair.distance must be >= 0, got {}", pair.distance),
-        (pair.trajectory == "static", "pair.trajectory must be 'static', got {!r}",
-         pair.trajectory),
         (field_spec.mass >= 0, "field.mass must be >= 0, got {}", field_spec.mass),
-        (field_spec.state == "minkowski-vacuum",
-         "field.state must be 'minkowski-vacuum', got {!r}", field_spec.state),
         (abs(norm - 1.0) <= NORMALIZATION_TOL,
          "state amplitudes not normalized: alpha^2 + gamma^2 = {!r}", norm),
         (state.alpha >= 0,

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from udleak import linalg
 from udleak.density import check_x_structure, evolved_density
 from udleak.entanglement import (concurrence_closed, concurrence_numeric,
                                  leakage_rates, negativity_numeric,
@@ -92,12 +93,13 @@ def test_criterion_3_negativity_pipeline():
             ints = eternal_integral_set(sc)
             rho = evolved_density(sc.state, sc.pair, ints)
             _, numeric = negativity_numeric(rho)
-            closed = pt_eigenvalues_closed(sc.state, sc.pair, ints)
+            closed, negative_index = pt_eigenvalues_closed(
+                rho, sc.state.alpha * sc.state.gamma >= 0)
             worst = max(worst, float(np.max(np.abs(
-                np.sort(np.array(closed.exact)) - np.array(numeric)))))
+                np.sort(np.array(closed)) - np.array(numeric)))))
             expect = 2 if sign > 0 else 1
-            sign_rule_ok &= (closed.negative_index == expect)
-            sign_rule_ok &= (closed.exact[expect - 1] < 0.0)
+            sign_rule_ok &= (negative_index == expect)
+            sign_rule_ok &= (closed[expect - 1] < 0.0)
     dt = time.time() - t0
     _report(3, worst <= 1e-8 and sign_rule_ok and dt < 10.0,
             f"PPT numeric vs closed, worst {worst:.2e}, "
@@ -112,7 +114,7 @@ def test_criterion_4_concurrence_pipeline():
         ints = eternal_integral_set(sc)
         rho = evolved_density(sc.state, sc.pair, ints)
         _, numeric = concurrence_numeric(rho)
-        closed = wootters_closed_exact(sc.state, sc.pair, ints)
+        closed = wootters_closed_exact(rho)
         worst = max(worst, float(np.max(np.abs(
             np.array(closed) - np.array(numeric)))))
     # stripped deficit coefficient at the Bell point, C = 0.1
@@ -213,11 +215,14 @@ def test_criterion_7_structural_invariants():
                 else eternal_integral_set(sc))
         rho = evolved_density(sc.state, sc.pair, ints)
 
-        if rho.diagnostics.hermiticity_residual > 1e-14:
-            fail(f"hermiticity {rho.diagnostics.hermiticity_residual:.1e}")
+        herm = linalg.hermiticity_residual(rho.matrix)
+        if herm > 1e-14:
+            fail(f"hermiticity {herm:.1e}")
+        tr = linalg.trace(rho.matrix)
+        trace_residual = abs(tr.real - 1.0) + abs(tr.imag)
         trace_tol = 1e-14 if not gaussian else 1e-8
-        if rho.diagnostics.trace_residual > trace_tol:
-            fail(f"trace {rho.diagnostics.trace_residual:.1e}")
+        if trace_residual > trace_tol:
+            fail(f"trace {trace_residual:.1e}")
         if check_x_structure(rho) != 0.0:
             fail("X pattern broken")
         e = ints.entries()

@@ -310,11 +310,18 @@ CHECK_FAILURES = [
     (["--mode", "gaussian", "--sigma", "1", "--coupling-a", "1e5",
       "--distance", "0.5", "--sweep", "coupling_b=0:1e5:2"],
      "coupling_b=100000.0"),
+    # Im Y_AB ~ 1/d puts entries near 1e298 into the partial transpose,
+    # where LAPACK's eigh does not converge
+    (["--mode", "gaussian", "--sigma", "1", "--distance", "1e-300"],
+     "mass=0.0, distance=1e-300"),
+    (["--mode", "gaussian", "--sigma", "1", "--distance", "1e-300", "--mass", "0.3"],
+     "mass=0.3, distance=1e-300"),
 ]
 
 
 @pytest.mark.parametrize("argv, named", CHECK_FAILURES,
-                         ids=["gaussian-trace", "huge-coupling", "sweep-point"])
+                         ids=["gaussian-trace", "huge-coupling", "sweep-point",
+                              "lapack-massless", "lapack-massive"])
 def test_failed_matrix_check_exits_2_naming_the_point(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -402,6 +409,19 @@ def test_batch_failure_no_point_repeats_still_reports(monkeypatch, capsys):
     assert main(BASE + ["--sweep", "alpha=0:1:3"]) == 2
     assert capsys.readouterr() == (
         "", "udleak: numeric check failed: |m - m^dagger| = nan exceeds tol 1e-10\n")
+
+
+@pytest.mark.parametrize("solver", ["eigh", "svd"])
+def test_linalg_error_exits_2_with_one_line(monkeypatch, capsys, solver):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fails)
+    assert main(BASE + ["--sweep", "alpha=0:1:3"]) == 2
+    assert capsys.readouterr() == (
+        "", f"udleak: numeric check failed: LAPACK {solver} failed: {solver} did "
+        "not converge at delta_e=1.0, mass=0.0, distance=0.0, coupling_a=0.1, "
+        "coupling_b=0.1, alpha=0.0\n")
 
 
 def test_overflowing_square_stays_silent(capsys):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from udleak import density, entanglement, linalg
 from udleak.density import evolved_density, initial_density
 from udleak.entanglement import (BranchViolation, analyze, concurrence_closed,
                                  concurrence_numeric, leakage_rates,
                                  negativity_numeric, pt_eigenvalues_closed,
+                                 pt_eigenvalues_expanded,
                                  wootters_closed_exact)
 from udleak.integrals import (NotDistributional, eternal_integral_set,
                               gaussian_integral_set)
@@ -46,12 +48,12 @@ def test_pt_closed_matches_numeric_small_coupling():
         ints = eternal_integral_set(sc)
         rho = evolved_density(sc.state, sc.pair, ints)
         _, numeric = negativity_numeric(rho)
-        closed = pt_eigenvalues_closed(sc.state, sc.pair, ints)
-        assert np.max(np.abs(np.sort(np.array(closed.exact))
+        closed, _ = pt_eigenvalues_closed(rho, sc.state.alpha * sc.state.gamma >= 0)
+        assert np.max(np.abs(np.sort(np.array(closed))
                              - np.array(numeric))) < 1e-12
-        # the expansion only drops O(C^4) pieces
-        assert np.max(np.abs(np.sort(np.array(closed.expanded))
-                             - np.sort(np.array(closed.exact)))) < 1e-7
+        # the expansion of the outer pair only drops O(C^4) pieces
+        expanded = pt_eigenvalues_expanded(sc.state, sc.pair, ints)
+        assert np.max(np.abs(expanded - closed[:2])) < 1e-7
 
 
 def test_negative_eigenvalue_sign_rule():
@@ -59,9 +61,11 @@ def test_negative_eigenvalue_sign_rule():
     for sign, index in ((+1, 2), (-1, 1)):
         sc = _scenario(state=bell_state(sign))
         ints = eternal_integral_set(sc)
-        closed = pt_eigenvalues_closed(sc.state, sc.pair, ints)
-        assert closed.negative_index == index
-        assert closed.exact[index - 1] < 0.0
+        rho = evolved_density(sc.state, sc.pair, ints)
+        closed, negative_index = pt_eigenvalues_closed(
+            rho, sc.state.alpha * sc.state.gamma >= 0)
+        assert negative_index == index
+        assert closed[index - 1] < 0.0
 
 
 def test_gamma_sign_flip_leaves_measures_invariant():
@@ -80,7 +84,7 @@ def test_wootters_closed_exact_matches_numeric():
     ints = eternal_integral_set(sc)
     rho = evolved_density(sc.state, sc.pair, ints)
     _, numeric = concurrence_numeric(rho)
-    closed = wootters_closed_exact(sc.state, sc.pair, ints)
+    closed = wootters_closed_exact(rho)
     assert np.max(np.abs(np.array(closed) - np.array(numeric))) < 1e-8
 
 
@@ -209,3 +213,20 @@ def test_stacked_eternal_analyze_makes_two_eigh_calls_and_one_svd(monkeypatch):
     report = analyze(grid, ints=ints)
     assert sorted(calls) == ["eigh", "eigh", "svd"]
     assert report.agreement.shape == (len(scenarios),)
+
+
+def test_stacked_analyze_builds_rho_once(monkeypatch):
+    # the X entries are assembled once, into rho, which every measure reads;
+    # the Hermiticity residual is taken once for rho and once for its
+    # partial transpose, by the gates of their eigen-solves
+    scenarios = [_scenario(de=1.0, mass=m, d=d) for m in (0.0, 0.4) for d in (0.5, 2.0)]
+    grid = stack_points(scenarios)
+    ints = stack_points([eternal_integral_set(sc) for sc in scenarios])
+    calls = []
+    for module, name in ((density, "x_elements"), (entanglement, "x_elements"),
+                         (linalg, "hermiticity_residual")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    analyze(grid, ints=ints)
+    assert sorted(calls) == ["hermiticity_residual"] * 2 + ["x_elements"]

@@ -98,12 +98,6 @@ def test_unknown_switching_kind_rejected():
                         SwitchingSpec(kind="tophat"))
 
 
-def test_nonstatic_trajectory_rejected():
-    with pytest.raises(ConfigError, match="trajectory"):
-        validate_config(_pair(trajectory="inertial"), FieldSpec(),
-                        bell_state(), SwitchingSpec())
-
-
 def test_shielded_coupling_allowed():
     sc = validate_config(_pair(coupling_b=0.0), FieldSpec(), bell_state(),
                          SwitchingSpec())
