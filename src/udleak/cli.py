@@ -10,8 +10,8 @@ follows sweep declaration order, no timestamps.  Exit codes: 0 success,
 computation that overflowed, 2 quadrature non-convergence, a --validate
 tolerance breach or a failed trace or Hermiticity check of a density
 matrix, 3 a perturbative-regime error under --strict.  A sweep that fails
-is replayed one point at a time in grid order, and the first point that
-fails alone is named, with its own error.  A warning raised while a
+names the first point in grid order that fails alone, with its own error,
+found in O(log n) batch passes over the columns.  A warning raised while a
 point's integrals are computed prints as one "udleak: warning:" line
 naming the point.  An --output file is written whole, and only on exit 0.
 """
@@ -245,8 +245,7 @@ def _computed(plan, params, settings):
     """Validate, integrate and analyse the columns `params`: the validated
     grid, its stacked integral set, its report and the one-line warnings
     per point (index -> lines).  A failing stage raises a contract
-    exception (_FAILURES) and names no point; run_plan replays the points
-    one by one to name it."""
+    exception (_FAILURES) and names no point; _first_failure finds it."""
     alpha = params["alpha"]
     sign = -1.0 if plan.gamma_sign == "-" else 1.0
     with warnings.catch_warnings(record=True) as caught:
@@ -277,6 +276,45 @@ def _computed(plan, params, settings):
 # ArithmeticError is an overflow, a division by zero or a raised
 # floating-point error
 _FAILURES = (ConfigError, QuadratureNonConvergence, MatrixCheckFailed, ArithmeticError)
+
+
+def _first_failure(plan, params, settings, n):
+    """(i, exception) of the first of the n points of the failing columns
+    `params` that fails alone, or (None, None) when none does.
+
+    The points fail one by one, so the shortest failing prefix ends at
+    that point: galloping over blocks of doubling length, then bisection
+    of the first failing block, find it in O(log n) passes, each over
+    points not yet known to pass, and the point at its end then runs
+    alone for its own exception.  A point that passes alone there falls
+    back to replaying every point in grid order.
+    """
+    def fails(lo, hi):
+        try:
+            _computed(plan, {k: v if v is None else v[lo:hi]
+                             for k, v in params.items()}, settings)
+        except _FAILURES as exc:
+            return exc
+        return None
+
+    # points [0, lo) pass and [lo, hi) holds a failing one; [0, n) fails
+    lo, hi = 0, 1
+    while hi < n and not fails(lo, hi):
+        lo, hi = hi, min(2 * hi, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(lo, mid):
+            hi = mid
+        else:
+            lo = mid
+    own = fails(hi - 1, hi)
+    if own:
+        return hi - 1, own
+    for i in range(n):
+        own = fails(i, i + 1)
+        if own:
+            return i, own
+    return None, None
 
 
 def _failure(exc, point, params, i):
@@ -400,8 +438,8 @@ def run_plan(plan: RunPlan, out=None):
     """Execute the grid and emit records; returns the exit code.  The grid
     is built, validated and (eternal) integrated as columns, the Gaussian
     integrals point by point, and all of it analysed as one stacked batch;
-    checks are masks over the batch's report.  A batch that fails is
-    replayed point by point, and the first point that fails alone reports.
+    checks are masks over the batch's report.  A batch that fails
+    reports the first point that fails alone (_first_failure).
     Messages and records follow in grid order."""
     out = out if out is not None else sys.stdout
     settings = QuadratureSettings(
@@ -417,13 +455,8 @@ def run_plan(plan: RunPlan, out=None):
     except _FAILURES as exc:
         # the batch does not say which point failed: the first point in
         # grid order that fails alone does, with its own exception
-        for i in range(n):
-            try:
-                _computed(plan, {k: v if v is None else v[i:i + 1]
-                                 for k, v in params.items()}, settings)
-            except _FAILURES as own:
-                return _failure(own, point, params, i)
-        return _failure(exc, {}, {}, 0)
+        i, own = _first_failure(plan, params, settings, n)
+        return _failure(own, point, params, i) if own else _failure(exc, {}, {}, 0)
 
     tol = np.broadcast_to(_validate_tolerance(plan.mode, batch) if plan.validate
                           else np.inf, n)

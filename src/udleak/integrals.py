@@ -488,21 +488,38 @@ _SEPARABLE = {
 ORACLE_ENTRIES = tuple(_SEPARABLE) + ("M", "Y_AB", "xi_AB")
 
 
-def _cumsimp(y, dx):
-    """Cumulative Simpson integral of y (odd node count, uniform step dx)
-    along its last axis, from 0: scipy's cumulative_simpson sub-interval
-    formula, evaluated once on complex input."""
-    if y.shape[-1] % 2 == 0:
+def _lag_sums(h, g, dx):
+    """A_m = sum_k h_k g_{k-m} W_{k,k-m} for the lags m = -1 ... n-1
+    (index m + 1), W the cumulative Simpson rule as a matrix: C_k =
+    sum_j W_kj y_j is scipy's cumulative_simpson of y (odd node count n,
+    uniform step dx, C_0 = 0).  Grouped by lag, the time-ordered double
+    sum sum_{k,j} h_k g_j W_kj e^{i E (tau_k - tau_j)} is
+    sum_m A_m e^{i E m dx}.
+
+    In units of dx/3, W_{k,k-m} is 1 at m = 0, 4 at odd m and 2 at even
+    m > 0 for even k (the composite rule up to tau_k); for odd k (that
+    rule plus the first half of the next parabola) it is -1/4, 2 and 9/4
+    at m = -1, 0 and 1, then 2 at odd m and 4 at even m.  The j = 0
+    column is 1 lower at every lag.  So A is two FFT correlations of g,
+    with h on the even and on the odd nodes.
+    """
+    n = len(h)
+    if n % 2 == 0:
         raise ValueError("need an odd node count for cumulative Simpson")
-    # [x_k, x_k+1] from the parabola through the nodes 2j, 2j+1, 2j+2 that
-    # hold it: the left half (k = 2j) and the right half (k = 2j + 1)
-    f1, f2, f3 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
-    out = np.empty(y.shape, np.result_type(y, dx))
-    out[..., 0] = 0.0
-    out[..., 1::2] = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-    out[..., 2::2] = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
-    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
-    return out
+    lags = np.arange(-1, n)
+    even = np.where(lags % 2, 4.0, 2.0)
+    even[:2] = 0.0, 1.0
+    odd = np.where(lags % 2, 2.0, 4.0)
+    odd[:3] = -0.25, 2.0, 2.25
+    parts = np.zeros((2, n), complex)
+    parts[0, ::2], parts[1, 1::2] = h[::2], h[1::2]
+    # sum_k p_k g_{k-m} is the convolution of p with reversed g at n - 1 + m
+    size = 1 << (2 * n - 2).bit_length()
+    corr = np.fft.ifft(np.fft.fft(parts, size) * np.fft.fft(g[::-1], size))
+    corr = corr[:, n - 2:2 * n - 1]
+    a = even * corr[0] + odd * corr[1]
+    a[1:] -= h * g[0]
+    return dx / 3 * a
 
 
 def _phases(e, tau):
@@ -532,10 +549,19 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     """Evaluate one raw correlation integral by direct nested quadrature.
 
     Inner double time integral on a truncated window (composite Simpson on
-    a uniform grid; time ordering handled by cumulative Simpson sums),
-    outer Gauss-Legendre radial mode quadrature, angular factor analytic.
-    No per-mode factorization identities or closed forms are used, so this
-    is independent of every other evaluator in the module.
+    a uniform grid; the time-ordered entries M, Y_AB and xi_AB take the
+    inner integral up to tau by cumulative Simpson), outer Gauss-Legendre
+    radial mode quadrature, angular factor analytic.  No per-mode
+    factorization identities or closed forms are used, so this is
+    independent of every other evaluator in the module.
+
+    The cumulative rule's weight on tau' depends only on the lag
+    tau - tau' (in steps) and the parity of tau's node, apart from the
+    first node, so each time-ordered double sum is regrouped by lag
+    (_lag_sums): its energy-free lag coefficients come from two FFT
+    correlations per time grid, and at each radial node the sum is one
+    phase sum over lags, as cheap as a separable entry.  The same terms
+    are summed, in another order.
 
     Y_AB and xi_AB decay only like 1/E in the radial variable: at large E
     the time-ordered double integral tends to -2i sigma sqrt(pi)
@@ -548,10 +574,11 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
     (Y_AB diverges there) and nothing is added.
 
     Returns (value, error_estimate); the estimate is the change under
-    halving both node counts.  Every e^{+-i E tau} is read from one phase
-    matrix per chunk of radial nodes (its conjugate for -E), which the half
-    time grid tau[::2] of the estimate shares; the radial-node halving is
-    a second call.
+    halving both node counts.  Every e^{+-i E tau} is read from one lag
+    phase matrix e^{i E (tau - tau_0)} per chunk of radial nodes (its
+    conjugate for -E; each term pairs +E with -E, so e^{i E tau_0}
+    cancels), which the half time grid tau[::2] of the estimate shares;
+    the radial-node halving is a second call.
     """
     if entry not in ORACLE_ENTRIES:
         raise ValueError(f"unknown entry {entry!r}; choose from {ORACLE_ENTRIES}")
@@ -605,38 +632,48 @@ def oracle_quadrature(entry, scenario, window, p_max, epsilon,
         return z if sign > 0 else z.conj()
 
     def tsum(ph, b, v):
-        # sum over tau of e^{i b E tau} v(tau), for each radial node
+        # sum over lags m of e^{i b E m dt} v_m, for each radial node
         return ph @ v if b > 0 else (ph @ v.conj()).conj()
 
-    def time_integral(ph, nodes, dt):
-        """The double time integral at each radial node, ph = e^{i E tau}."""
-        ph, u, x = ph[:, nodes], up[nodes], chi[nodes]
+    def time_integral(nodes, dt):
+        """The double time integral on the grid tau[nodes], as a function
+        of the lag phases ph = e^{i E (tau - tau_0)} at each radial node."""
+        u, x = up[nodes], chi[nodes]
         wx = _simpson_weights(len(x), dt) * x
         if entry in _SEPARABLE:
             # phase e^{i(a dE + b E) tau} on each time integral
             (a1, b1), (a2, b2), _ = _SEPARABLE[entry]
-            return tsum(ph, b1, pm(u, a1) * wx) * tsum(ph, b2, pm(u, a2) * wx)
+            v1, v2 = pm(u, a1) * wx, pm(u, a2) * wx
+            return lambda ph: tsum(ph, b1, v1) * tsum(ph, b2, v2)
         if entry == "M":
             # int dtau chi e^{i w tau} int_{-W}^{tau} dtau' chi e^{-i w tau'}
-            # for w = dE + E and w = dE - E (the two anti-commutator pieces)
-            g = x * u.conj()
-            return sum((pm(ph, b) * _cumsimp(pm(ph, -b) * g, dt)) @ (wx * u)
-                       for b in (+1, -1))
-        # Y_AB / xi_AB: e^{-+i dE (tA + tB')} times the G_F-ordered kernel
+            # for w = dE + E and w = dE - E (the two anti-commutator pieces):
+            # 2 sum_m A_m cos(E m dt), lag -1 folded onto lag 1
+            a = _lag_sums(wx * u, x * u.conj(), dt)
+            a[2] += a[0]
+            a = a[1:]
+            return lambda ph: tsum(ph, +1, a) + tsum(ph, -1, a)
+        # Y_AB / xi_AB: e^{-+i dE (tA + tB')} times the G_F-ordered kernel.
+        # h = wx q is g = x q times the Simpson weights, which are the last
+        # row of the cumulative rule, so the upper ordering is the full
+        # product of the +E and -E sums of h minus the lower ordering:
+        # that product - 2i sum_m A_m sin(E m dt), lag -1 folded onto 1
         q = pm(u, -1 if entry == "Y_AB" else +1)
-        g = x * q
-        c_lower = _cumsimp(ph * g, dt)
-        cum2 = _cumsimp(ph.conj() * g, dt)
-        c_upper = cum2[:, -1:] - cum2
-        return (ph.conj() * c_lower + ph * c_upper) @ (wx * q)
+        h = wx * q
+        a = _lag_sums(h, x * q, dt)
+        a[2] -= a[0]
+        a = a[1:]
+        return lambda ph: (tsum(ph, +1, h) * tsum(ph, -1, h)
+                           - tsum(ph, +1, a) + tsum(ph, -1, a))
 
-    # one phase matrix per chunk of radial nodes serves both time grids
+    # one lag phase matrix per chunk of radial nodes serves both time grids
+    integrands = [(nodes, time_integral(nodes, dt)) for nodes, dt in grids]
     sums = np.zeros(len(grids), complex)
     chunk = 48
     for i0 in range(0, n_p, chunk):
-        ph = _phases(e_nodes[i0:i0 + chunk], tau)
-        for k, (nodes, dt) in enumerate(grids):
-            sums[k] += measure[i0:i0 + chunk] @ time_integral(ph, nodes, dt)
+        ph = _phases(e_nodes[i0:i0 + chunk], tau - tau[0])
+        for k, (nodes, integrand) in enumerate(integrands):
+            sums[k] += measure[i0:i0 + chunk] @ integrand(ph[:, nodes])
     value, *half = sums / (4.0 * math.pi**2) + tail
 
     if not _estimate_error:

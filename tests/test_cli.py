@@ -411,6 +411,24 @@ def test_batch_failure_no_point_repeats_still_reports(monkeypatch, capsys):
         "", "udleak: numeric check failed: |m - m^dagger| = nan exceeds tol 1e-10\n")
 
 
+def test_failing_sweep_point_found_in_log_n_batch_passes(monkeypatch, capsys):
+    # 1,000 points, the first 960 valid: the batch, a galloping and
+    # bisecting search over blocks, and the found point alone
+    computed, calls = cli._computed, []
+
+    def counted(plan, params, settings):
+        calls.append(len(params["alpha"]))
+        return computed(plan, params, settings)
+
+    monkeypatch.setattr(cli, "_computed", counted)
+    assert main(["--sweep", "alpha=0:1.001:25", "--sweep", "mass=0:1:40"]) == 1
+    assert capsys.readouterr() == (
+        "", "udleak: invalid scenario: state amplitudes not normalized: "
+        "alpha^2 + gamma^2 = 1.0020009999999997 at alpha=1.001, mass=0.0\n")
+    assert calls[0] == 1000 and calls[-1] == 1
+    assert len(calls) <= 2 * math.ceil(math.log2(1000)) + 2
+
+
 @pytest.mark.parametrize("solver", ["eigh", "svd"])
 def test_linalg_error_exits_2_with_one_line(monkeypatch, capsys, solver):
     def fails(*args, **kwargs):
@@ -557,7 +575,8 @@ def test_eternal_and_massless_gaussian_runs_skip_scipy_integrate():
 
 
 def test_massless_oracle_skips_scipy_integrate():
-    # the oracle's cumulative Simpson sums are in-house
+    # the oracle's time ordering is its own lag sums (numpy FFT
+    # correlations), not scipy.integrate's cumulative_simpson
     script = ("import sys\n"
               "from udleak.integrals import oracle_quadrature\n"
               "from udleak.model import (GAUSSIAN, DetectorPairConfig, FieldSpec,\n"

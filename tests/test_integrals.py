@@ -445,27 +445,50 @@ def test_oracle_large_sigma_slope():
 
 # the oracle's array kernels
 
-def test_cumsimp_matches_scipy_on_real_and_imaginary_parts():
+def _lag_sums_reference(h, g, dx):
+    # the dense double sum, W from scipy's cumulative_simpson of the identity
+    from scipy.integrate import cumulative_simpson
+    n = len(h)
+    w = cumulative_simpson(np.eye(n), dx=dx, axis=0, initial=0)
+    terms = w * np.multiply.outer(h, g)
+    return np.array([np.trace(terms, offset=-m) for m in range(-1, n)])
+
+
+def test_lag_sums_match_dense_cumulative_simpson_at_every_lag():
+    # a slip in the lag index leaves Y_AB and xi_AB intact but not M
+    rng = np.random.default_rng(11)
+    h_step = 0.0137
+    for n in (3, 5, 101, 1601):
+        h, g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(2))
+        ref = _lag_sums_reference(h, g, h_step)
+        got = integrals._lag_sums(h, g, h_step)
+        assert got.shape == (n + 1,)
+        scale = h_step * np.linalg.norm(h) * np.linalg.norm(g)
+        assert np.max(np.abs(got - ref)) < 1e-14 * scale, n
+    with pytest.raises(ValueError):
+        integrals._lag_sums(h[:-1], g[:-1], h_step)
+
+
+def test_lag_sums_match_scipy_on_real_and_imaginary_parts():
+    # sum_m A_m e^{i E m dx} is sum_k h_k e^{i E tau_k} C_k, C the
+    # cumulative Simpson integral of g e^{-i E tau}, scipy's on each part
     from scipy.integrate import cumulative_simpson
     rng = np.random.default_rng(7)
-    h = 0.0137
     for n in (3, 5, 101, 1601):
-        y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        ref = (cumulative_simpson(y.real, dx=h, initial=0)
-               + 1j * cumulative_simpson(y.imag, dx=h, initial=0))
-        got = integrals._cumsimp(y, h)
-        assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), n
-
-
-def test_cumsimp_exact_for_cubic_at_even_nodes():
-    x = np.linspace(-1.0, 2.0, 41)
-    y = (1 + 2j) * x**3 - 3 * x**2 + (0.5 - 1j) * x + 2
-    antider = lambda t: (1 + 2j) * t**4 / 4 - t**3 + (0.5 - 1j) * t**2 / 2 + 2 * t
-    got = integrals._cumsimp(y, x[1] - x[0])
-    assert np.max(np.abs(got[::2] - (antider(x) - antider(x[0]))[::2])) < 1e-14
-    with pytest.raises(ValueError):
-        integrals._cumsimp(y[:-1], x[1] - x[0])
+        tau = np.linspace(-1.0, 2.0, n)
+        dx = tau[1] - tau[0]
+        h, g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(2))
+        a = integrals._lag_sums(h, g, dx)
+        for e in (0.0, 1.3, -7.0, 40.0):
+            y = g * np.exp(-1j * e * tau)
+            cum = (cumulative_simpson(y.real, dx=dx, initial=0)
+                   + 1j * cumulative_simpson(y.imag, dx=dx, initial=0))
+            ref = np.sum(h * np.exp(1j * e * tau) * cum)
+            got = a @ np.exp(1j * e * dx * np.arange(-1, n))
+            scale = np.sum(np.abs(h) * np.abs(cum))
+            assert abs(got - ref) < 1e-13 * scale, (n, e)
 
 
 def test_phases_match_direct_exponentials():
@@ -486,7 +509,7 @@ def test_oracle_error_estimate_is_half_grid_plus_half_nodes(mass, d):
     sc = _scenario(kind=GAUSSIAN, sigma=1.0, mass=mass, d=d)
     scale = gaussian_integral_set(sc).entries()["P''_A"].coeff.real
     kw = dict(window=7.0, p_max=8.0, epsilon=1e-6)
-    for entry in ("P''", "X_AB", "M", "Y_AB"):
+    for entry in ("P''", "X_AB", "M", "Y_AB", "xi_AB"):
         v, err = oracle_quadrature(entry, sc, n_time=3201, n_p=96, **kw)
         half, _ = oracle_quadrature(entry, sc, n_time=1601, n_p=96,
                                     _estimate_error=False, **kw)
