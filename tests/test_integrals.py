@@ -457,17 +457,17 @@ def _lag_sums_reference(h, g, dx):
 def test_lag_sums_match_dense_cumulative_simpson_at_every_lag():
     # a slip in the lag index leaves Y_AB and xi_AB intact but not M
     rng = np.random.default_rng(11)
-    h_step = 0.0137
+    dx = 0.0137
     for n in (3, 5, 101, 1601):
         h, g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 for _ in range(2))
-        ref = _lag_sums_reference(h, g, h_step)
-        got = integrals._lag_sums(h, g, h_step)
+        ref = _lag_sums_reference(h, g, dx)
+        got = integrals._lag_sums(h, g, dx)
         assert got.shape == (n + 1,)
-        scale = h_step * np.linalg.norm(h) * np.linalg.norm(g)
+        scale = dx * np.linalg.norm(h) * np.linalg.norm(g)
         assert np.max(np.abs(got - ref)) < 1e-14 * scale, n
     with pytest.raises(ValueError):
-        integrals._lag_sums(h[:-1], g[:-1], h_step)
+        integrals._lag_sums(h[:-1], g[:-1], dx)
 
 
 def test_lag_sums_match_scipy_on_real_and_imaginary_parts():
