@@ -278,43 +278,43 @@ def _computed(plan, params, settings):
 _FAILURES = (ConfigError, QuadratureNonConvergence, MatrixCheckFailed, ArithmeticError)
 
 
-def _first_failure(plan, params, settings, n):
-    """(i, exception) of the first of the n points of the failing columns
-    `params` that fails alone, or (None, None) when none does.
+def _first_failure(plan, params, settings, n, exc):
+    """(i, exception) of the first of the n points of the columns `params`,
+    whose batch raised `exc`, that fails alone, or (None, None) when the
+    point found passes alone.
 
     The points fail one by one, so the shortest failing prefix ends at
     that point: galloping over blocks of doubling length, then bisection
     of the first failing block, find it in O(log n) passes, each over
-    points not yet known to pass, and the point at its end then runs
-    alone for its own exception.  A point that passes alone there falls
-    back to replaying every point in grid order.
+    points not yet known to pass.  Its own exception is that of a pass
+    over it alone, which runs once, and only if no pass of the search
+    (or the batch, at n = 1) already was one.
     """
     def fails(lo, hi):
         try:
             _computed(plan, {k: v if v is None else v[lo:hi]
                              for k, v in params.items()}, settings)
-        except _FAILURES as exc:
-            return exc
+        except _FAILURES as failure:
+            return failure
         return None
 
-    # points [0, lo) pass and [lo, hi) holds a failing one; [0, n) fails
-    lo, hi = 0, 1
-    while hi < n and not fails(lo, hi):
+    # points [0, lo) pass and [lo, hi) holds a failing one; [0, n) fails;
+    # own is the exception of a pass over exactly [lo, hi), or None
+    lo, hi, own = 0, 1, exc if n == 1 else None
+    while hi < n:
+        own = fails(lo, hi)
+        if own:
+            break
         lo, hi = hi, min(2 * hi, n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fails(lo, mid):
+        own = fails(lo, mid)
+        if own:
             hi = mid
         else:
             lo = mid
-    own = fails(hi - 1, hi)
-    if own:
-        return hi - 1, own
-    for i in range(n):
-        own = fails(i, i + 1)
-        if own:
-            return i, own
-    return None, None
+    own = own or fails(lo, hi)
+    return (lo, own) if own else (None, None)
 
 
 def _failure(exc, point, params, i):
@@ -455,7 +455,7 @@ def run_plan(plan: RunPlan, out=None):
     except _FAILURES as exc:
         # the batch does not say which point failed: the first point in
         # grid order that fails alone does, with its own exception
-        i, own = _first_failure(plan, params, settings, n)
+        i, own = _first_failure(plan, params, settings, n, exc)
         return _failure(own, point, params, i) if own else _failure(exc, {}, {}, 0)
 
     tol = np.broadcast_to(_validate_tolerance(plan.mode, batch) if plan.validate

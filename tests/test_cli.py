@@ -429,6 +429,29 @@ def test_failing_sweep_point_found_in_log_n_batch_passes(monkeypatch, capsys):
     assert len(calls) <= 2 * math.ceil(math.log2(1000)) + 2
 
 
+@pytest.mark.parametrize("argv, blocks", [
+    # one point: the batch is the point alone
+    (["--delta-e", "1e300"], [1]),
+    # the first point fails in the first block of the search
+    (["--sweep", "alpha=1.5:2:2"], [2, 1]),
+    # the third of six: blocks [0, 1), [1, 2), [2, 4), then [2, 3) alone
+    (FIRST_FAILURES["invalid-sweep-point"][0], [6, 1, 1, 2, 1]),
+])
+def test_found_point_runs_alone_once(monkeypatch, capsys, argv, blocks):
+    # a pass of the search over the failing point alone gives its own
+    # exception; it is not run again
+    computed, calls = cli._computed, []
+
+    def counted(plan, params, settings):
+        calls.append(len(params["alpha"]))
+        return computed(plan, params, settings)
+
+    monkeypatch.setattr(cli, "_computed", counted)
+    assert main(argv) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert calls == blocks
+
+
 @pytest.mark.parametrize("solver", ["eigh", "svd"])
 def test_linalg_error_exits_2_with_one_line(monkeypatch, capsys, solver):
     def fails(*args, **kwargs):
